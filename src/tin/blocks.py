@@ -225,14 +225,6 @@ class TinBlock(Layer):
         return grad_u, grads
 
 
-def tin_forward(block: TinBlock, u):
-    return block.forward(u)
-
-
-def tin_backward(block: TinBlock, grad_v, tape):
-    return block.backward(grad_v, tape)
-
-
 # ---------------------------------------------------------------------------
 # toy networks
 
@@ -324,11 +316,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     n_correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     assert_finite(grad, "cross-entropy gradient")
     return loss, grad, n_correct
-
-
-def toy_forward(net: ToyNet, batch: np.ndarray):
-    return net.forward(batch)
-
-
-def toy_backward(net: ToyNet, grad_logits: np.ndarray, tapes):
-    return net.backward(grad_logits, tapes)

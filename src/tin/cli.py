@@ -22,7 +22,7 @@ from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
 from . import synth, tcn
 from . import training as train_mod
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .interlace import InterlaceConfig, interlace_forward
 from .tensors import Rng, load_tensor, save_tensor
 
@@ -55,11 +55,21 @@ def _coerce(value: str, like):
         if value.lower() in ("0", "false", "off", "no"):
             return False
         raise ConfigError(f"expected a boolean, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+    if isinstance(like, (int, float)):
+        return _parse_number(value, type(like), "config file value")
     return value
+
+
+def _parse_number(text: str, kind, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
+def _parse_list(text: str, kind, what: str) -> tuple:
+    """A comma-separated list of numbers, e.g. --seeds 0,1,2."""
+    return tuple(_parse_number(x, kind, what) for x in text.split(","))
 
 
 def apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
@@ -215,8 +225,7 @@ def cmd_train(args) -> int:
                                 weight_decay=args.weight_decay, epochs=args.epochs,
                                 batch_size=args.batch_size, seed=args.seed)
     out = resolve_out_dir(args)
-    train_data = synth.generate_task(spec, "train")
-    val_data = synth.generate_task(spec, "val")
+    train_data, val_data = train_mod.task_data(spec)
     if args.cache_data:
         cache = os.path.join(out, "cache")
         os.makedirs(cache, exist_ok=True)
@@ -242,7 +251,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _parse_list(args.seeds, int, "--seeds")
     spec = synth.SynthTask(task=args.task, w=synth.default_width(args.task),
                            seed=args.seed, train_clips=args.train_clips,
                            val_clips=args.val_clips)
@@ -277,7 +286,7 @@ def cmd_bench(args) -> int:
 
 def cmd_demo(args) -> int:
     t, c, h, w = 4, 8, 2, 2
-    offsets = np.array([float(x) for x in args.offsets.split(",")])
+    offsets = np.array(_parse_list(args.offsets, float, "--offsets"))
     g = len(offsets)
     cfg = InterlaceConfig(t=t, c=c, g=g, shift_fraction=g / c, mirror=False)
     if args.load:
@@ -332,7 +341,7 @@ def main(argv=None) -> int:
     try:
         apply_config_file(args, defaults)
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:

@@ -15,10 +15,30 @@ with out-of-range source frames contributing zero. At integer offsets the
 gradient in O is the right-hand sub-derivative (f = 0 convention); that
 kink is deliberate and flagged by the gradient checker.
 
+For one (clip, group) the resampling is the T x T matrix with two
+diagonals B = (1 - f) E[n0] + f E[n0 + 1], where E[k] has ones where
+column = row + k; rows of E that would read outside the clip are zero,
+which is the boundary buffer. With D = E[n0 + 1] - E[n0], x the
+[N, G, T, gs*H*W] view of the shifted channels, w the weights and g the
+output gradient on that view:
+
+    v      = w * (B @ x)
+    grad_u = B^T @ (w * g)
+    grad_w = sum over gs*H*W of g * (B @ x)
+    grad_O = sum over T and gs*H*W of (w * g) * (D @ x)
+
+The code folds the weights into the band, diag(w) @ B, so the forward and
+the input gradient are one matmul each, written straight into the result;
+the backward gets B @ x and D @ x from one more. Every resampling here,
+temporal_sample and its VJP included, goes through that one form.
+Integer offsets make B a plain shift matrix (the temporal shift module's
+case), and offset 0 makes it the identity.
+
 Feature maps are [T, C, H, W] or [N, T, C, H, W]; offsets are [G] or
-[N, G]; weights are [G, T] or [N, G, T]. Forward returns a tape holding
-the saved input, floor indices, fractional parts and boundary masks,
-which is consumed by exactly one backward call.
+[N, G]; weights are [G, T] or [N, G, T]. An unbatched call is the N = 1
+case of the batched one. Forward returns a tape holding only the input,
+the offsets and the weights, which is consumed by exactly one backward
+call.
 """
 
 from __future__ import annotations
@@ -110,75 +130,73 @@ def validate_weights(weights: np.ndarray, cfg: InterlaceConfig) -> None:
 
 @dataclass
 class InterlaceTape:
-    """Forward intermediates for the three vector-Jacobian products."""
+    """The forward inputs, which are all the three VJPs need.
+
+    Nothing derived is stored: the backward pass rebuilds the banded
+    matrices from the offsets.
+    """
 
     u: np.ndarray          # batched input [N, T, C, H, W]
     offsets: np.ndarray    # [N, G]
     weights: np.ndarray    # [N, G, T]
-    n0: np.ndarray         # [N, G] int64 floor indices
-    f: np.ndarray          # [N, G] fractional parts in [0, 1)
-    masks: np.ndarray      # [N, G, 2, T] validity of the two taps
-    tap0: np.ndarray       # [N, T, Cs, H, W] gathered input slices (floor taps)
-    tap1: np.ndarray       # [N, T, Cs, H, W] gathered input slices (ceil taps)
     cfg: InterlaceConfig
     batched: bool
     consumed: bool = field(default=False)
 
 
-def _gather_t(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """x: [N, T, ...]; pos: [N, T] frame indices, possibly out of range.
+def _band(offsets: np.ndarray, t: int) -> np.ndarray:
+    """The stacked pair [B, D] for every offset: [...] -> [..., 2, T, T].
 
-    Returns y with y[n, t] = x[n, pos[n, t]] where pos is a valid frame
-    and exactly zero elsewhere.
+    B resamples time at the offset and D is its right-hand derivative in
+    the offset (see the module docstring); both in the offsets' dtype.
     """
-    t = x.shape[1]
-    valid = (pos >= 0) & (pos < t)
-    safe = np.clip(pos, 0, t - 1)
-    expand = (...,) + (None,) * (x.ndim - 2)
-    taken = np.take_along_axis(x, safe[expand], axis=1)
-    return np.where(valid[expand], taken, x.dtype.type(0.0))
+    n0 = np.floor(offsets)[..., None, None]
+    f = offsets[..., None, None] - n0
+    lag = np.arange(t)[None, :] - np.arange(t)[:, None]    # lag[r, s] = s - r
+    e0 = (lag == n0).astype(offsets.dtype)
+    e1 = (lag == n0 + 1).astype(offsets.dtype)
+    return np.stack([(1.0 - f) * e0 + f * e1, e1 - e0], axis=-3)
 
 
-def _sample_t(x: np.ndarray, n0: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Two-tap interpolation along axis 1. x: [N, T, ...]; n0, f: [N]."""
-    t = x.shape[1]
-    pos = np.arange(t)[None, :] + n0[:, None]
-    expand = (slice(None),) + (None,) * (x.ndim - 1)
-    f = f.astype(x.dtype, copy=False)[expand]
-    return (1.0 - f) * _gather_t(x, pos) + f * _gather_t(x, pos + 1)
+def _grouped(x: np.ndarray, cfg: InterlaceConfig) -> np.ndarray:
+    """[N, G, T, gs*H*W] view of the shifted channels of a map [N, T, C, H, W].
+
+    On a C-ordered x, writing into the view writes into x.
+    """
+    n, t, _, h, w = x.shape
+    return x[:, :, :cfg.c_shift].reshape(n, t, cfg.g, cfg.group_size * h * w).swapaxes(1, 2)
+
+
+def _sample_band(u: np.ndarray, offset: float) -> np.ndarray:
+    """[B, D] for temporal_sample, in u's float precision."""
+    t = u.shape[0]
+    if not abs(offset) < t / 2:
+        raise ShapeError(f"|offset| = {abs(offset)} must be < T/2 = {t / 2}")
+    return _band(np.asarray(offset, dtype=np.result_type(u, 0.0)), t)
 
 
 def temporal_sample(u: np.ndarray, offset: float) -> np.ndarray:
     """Shift a whole tensor along its leading time axis by a real offset."""
     u = np.asarray(u)
-    t = u.shape[0]
-    if not abs(offset) < t / 2:
-        raise ShapeError(f"|offset| = {abs(offset)} must be < T/2 = {t / 2}")
-    n0 = int(np.floor(offset))
-    f = float(offset) - n0
-    ub = u[None] if u.ndim > 1 else u[None, :, None]
-    out = _sample_t(ub, np.array([n0]), np.array([f]))
-    return out[0] if u.ndim > 1 else out[0, :, 0]
+    b = _sample_band(u, offset)[0]
+    return (b @ u.reshape(u.shape[0], -1)).reshape(u.shape)
 
 
 def temporal_sample_vjp(u: np.ndarray, offset: float, grad_v: np.ndarray):
     """Gradients of temporal_sample w.r.t. the input and the offset.
 
-    The input gradient is the transposed interpolation stencil, which is
-    itself a temporal_sample at the negated offset.
+    The input gradient is B^T @ grad_v; the offset gradient is the sum of
+    grad_v * (D @ u), right-hand at integer offsets.
     """
     u = np.asarray(u)
     grad_v = np.asarray(grad_v)
     if grad_v.shape != u.shape:
         raise ShapeError(f"grad shape {grad_v.shape} != input shape {u.shape}")
-    grad_u = temporal_sample(grad_v, -offset)
+    b, d = _sample_band(u, offset)
     t = u.shape[0]
-    n0 = int(np.floor(offset))
-    pos = np.arange(t) + n0
-    ub = u.reshape(1, t, -1)
-    tap0 = _gather_t(ub, pos[None])
-    tap1 = _gather_t(ub, pos[None] + 1)
-    grad_offset = float(np.sum(grad_v.reshape(1, t, -1) * (tap1 - tap0)))
+    g = grad_v.reshape(t, -1)
+    grad_u = (b.T @ g).reshape(u.shape)
+    grad_offset = float(np.sum(g * (d @ u.reshape(t, -1))))
     return grad_u, grad_offset
 
 
@@ -206,65 +224,19 @@ def _batchify(u, offsets, weights, cfg: InterlaceConfig):
     return ub, ob, wb, batched
 
 
-def _gather_tc(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """x: [N, T, C, H, W]; pos: [N, T, C] per-channel source frames.
-
-    y[n, t, c] = x[n, pos[n, t, c], c] for valid positions, exactly zero
-    otherwise.
-    """
-    t = x.shape[1]
-    valid = (pos >= 0) & (pos < t)
-    safe = np.clip(pos, 0, t - 1)
-    taken = np.take_along_axis(x, safe[..., None, None], axis=1)
-    return np.where(valid[..., None, None], taken, x.dtype.type(0.0))
-
-
-def _per_channel(arr: np.ndarray, group_size: int) -> np.ndarray:
-    """Expand a per-group quantity (axis 1) to the shifted channels."""
-    return np.repeat(arr, group_size, axis=1)
-
-
 def interlace_forward(u, offsets, weights, cfg: InterlaceConfig):
     """Apply the operator; returns (v, tape) with v the same shape as u."""
     ub, ob, wb, batched = _batchify(u, offsets, weights, cfg)
     validate_offsets(ob, cfg)
     validate_weights(wb, cfg)
-    groups, rest = partition_channels(cfg)
-    t = cfg.t
-
     v = ub.copy()
-    n0 = np.floor(ob).astype(np.int64)
-    f = ob - n0.astype(ob.dtype)
-    base = np.arange(t)[None, :, None]
-    tap0 = tap1 = None
-    if cfg.g and not batched:
-        # scalar per-group offsets: contiguous slice blending, no gathers
-        for gi, (lo, hi) in enumerate(groups):
-            xg = ub[0, :, lo:hi]
-            yg = np.zeros_like(xg)
-            for tap, coef in ((int(n0[0, gi]), 1.0 - float(f[0, gi])),
-                              (int(n0[0, gi]) + 1, float(f[0, gi]))):
-                t_lo, t_hi = max(0, -tap), min(t, t - tap)
-                if t_lo < t_hi:
-                    yg[t_lo:t_hi] += coef * xg[t_lo + tap:t_hi + tap]
-            v[0, :, lo:hi] = wb[0, gi, :, None, None, None] * yg
-    elif cfg.g:
-        cs, gs = cfg.c_shift, cfg.group_size
-        pos = base + _per_channel(n0, gs)[:, None, :]          # [N, T, Cs]
-        fc = _per_channel(f, gs)[:, None, :, None, None]
-        ec = _per_channel(wb, gs).swapaxes(1, 2)[..., None, None]
-        xs = ub[:, :, :cs]
-        tap0 = _gather_tc(xs, pos)
-        tap1 = _gather_tc(xs, pos + 1)
-        v[:, :, :cs] = ec * ((1.0 - fc) * tap0 + fc * tap1)
-    if cfg.weight_all_channels and cfg.g and rest[0] < rest[1]:
-        m = wb.mean(axis=1)
-        v[:, :, rest[0]:] *= m[:, :, None, None, None]
+    if cfg.g:
+        wband = wb[..., None] * _band(ob, cfg.t)[:, :, 0]      # diag(w) @ B
+        np.matmul(wband, _grouped(ub, cfg), out=_grouped(v, cfg))
+        if cfg.weight_all_channels:
+            v[:, :, cfg.c_shift:] *= wb.mean(axis=1)[:, :, None, None, None]
     assert_finite(v, "interlace output")
-    pos_g = np.arange(t)[None, None, :] + n0[:, :, None]        # [N, G, T]
-    masks = np.stack([(pos_g >= 0) & (pos_g < t),
-                      (pos_g + 1 >= 0) & (pos_g + 1 < t)], axis=2)
-    tape = InterlaceTape(ub, ob, wb, n0, f, masks, tap0, tap1, cfg, batched)
+    tape = InterlaceTape(ub, ob, wb, cfg, batched)
     return (v if batched else v[0]), tape
 
 
@@ -283,47 +255,24 @@ def interlace_backward(grad_v, tape: InterlaceTape, cfg: InterlaceConfig | None 
     gb = grad_v[None] if not tape.batched else grad_v
     if gb.shape != tape.u.shape:
         raise ShapeError(f"grad shape {grad_v.shape} does not match forward input")
-    _, rest = partition_channels(cfg)
-    n, t = tape.u.shape[:2]
 
     grad_u = gb.copy()
     grad_off = np.zeros_like(tape.offsets)
     grad_w = np.zeros_like(tape.weights)
-
-    if cfg.weight_all_channels and cfg.g and rest[0] < rest[1]:
-        u_rest = tape.u[:, :, rest[0]:]
-        g_rest = gb[:, :, rest[0]:]
-        m = tape.weights.mean(axis=1)
-        grad_u[:, :, rest[0]:] = m[:, :, None, None, None] * g_rest
-        per_frame = np.sum(g_rest * u_rest, axis=(2, 3, 4)) / cfg.g
-        grad_w += per_frame[:, None, :]
-
     if cfg.g:
-        cs, gs = cfg.c_shift, cfg.group_size
-        starts = np.arange(0, cs, gs)
-        base = np.arange(t)[None, :, None]
-        gs_block = gb[:, :, :cs]
-        ec = _per_channel(tape.weights, gs).swapaxes(1, 2)[..., None, None]
-        z = ec * gs_block
-        # transposed stencil == sampling the weighted grad at -O
-        neg = -_per_channel(tape.offsets, gs)
-        n0m = np.floor(neg).astype(np.int64)
-        fm = (neg - n0m.astype(neg.dtype))[:, None, :, None, None]
-        pos_m = base + n0m[:, None, :]
-        grad_u[:, :, :cs] = (1.0 - fm) * _gather_tc(z, pos_m) + fm * _gather_tc(z, pos_m + 1)
-
-        tap0, tap1 = tape.tap0, tape.tap1
-        if tap0 is None:  # the slice-based forward path does not store taps
-            pos = base + _per_channel(tape.n0, gs)[:, None, :]
-            tap0 = _gather_tc(tape.u[:, :, :cs], pos)
-            tap1 = _gather_tc(tape.u[:, :, :cs], pos + 1)
-        fc = _per_channel(tape.f, gs)[:, None, :, None, None]
-        y = (1.0 - fc) * tap0 + fc * tap1
-        # per-channel sums folded into groups; fixed reduction order
-        gw_c = np.sum(gs_block * y, axis=(3, 4)).swapaxes(1, 2)          # [N, Cs, T]
-        grad_w += np.add.reduceat(gw_c, starts, axis=1)
-        go_c = np.sum(z * (tap1 - tap0), axis=(1, 3, 4))                 # [N, Cs]
-        grad_off += np.add.reduceat(go_c, starts, axis=1)
+        cs = cfg.c_shift
+        if cfg.weight_all_channels:
+            u_rest, g_rest = tape.u[:, :, cs:], gb[:, :, cs:]
+            grad_u[:, :, cs:] *= tape.weights.mean(axis=1)[:, :, None, None, None]
+            grad_w += np.sum(g_rest * u_rest, axis=(2, 3, 4))[:, None, :] / cfg.g
+        bd = _band(tape.offsets, cfg.t)
+        g = _grouped(gb, cfg)
+        wband = tape.weights[..., None] * bd[:, :, 0]            # diag(w) @ B
+        np.matmul(wband.swapaxes(-1, -2), g, out=_grouped(grad_u, cfg))
+        # per-row sums of g * (B @ x) and g * (D @ x), [N, G, 2, T]
+        rows = np.sum(g[:, :, None] * (bd @ _grouped(tape.u, cfg)[:, :, None]), axis=-1)
+        grad_w += rows[:, :, 0]
+        grad_off += np.sum(tape.weights * rows[:, :, 1], axis=-1)
 
     if not tape.batched:
         return grad_u[0], grad_off[0], grad_w[0]

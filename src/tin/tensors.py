@@ -95,8 +95,11 @@ def mean_over(x: np.ndarray, axes) -> np.ndarray:
 
 
 def assert_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    # a single reduction: any NaN/Inf propagates into the sum
-    if not np.isfinite(np.sum(x)):
+    # fast path: a single reduction, into which any NaN/Inf propagates; a
+    # non-finite sum of finite values (overflow) is settled elementwise
+    with np.errstate(over="ignore"):
+        total = np.sum(x)
+    if not np.isfinite(total) and not np.isfinite(x).all():
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return x
 

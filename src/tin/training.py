@@ -208,10 +208,14 @@ def build_net(task_spec: SynthTask, temporal: str, seed: int, hidden: int = 16,
                                temporal=temporal, cfg=cfg, weightnet_input=weightnet_input)
 
 
+def task_data(task_spec: SynthTask) -> tuple:
+    """The (train, val) datasets a run trains on: generated, then standardized."""
+    return standardize(generate_task(task_spec, "train"), generate_task(task_spec, "val"))
+
+
 def run_experiment(task_spec: SynthTask, temporal: str, cfg: TrainConfig,
                    **net_kwargs) -> RunRecord:
-    train_data, val_data = standardize(generate_task(task_spec, "train"),
-                                       generate_task(task_spec, "val"))
+    train_data, val_data = task_data(task_spec)
     net = build_net(task_spec, temporal, cfg.seed, **net_kwargs)
     return train(net, train_data, val_data, cfg)
 

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from tin import synth
 from tin.cli import main
 from tin.tensors import load_tensor
+from tin.training import TrainConfig, run_experiment, task_data
 
 
 def run(args, capsys):
@@ -61,6 +63,19 @@ def test_train_cache_data_writes_binary_tensors(tmp_path, capsys):
     assert code == 0
     clips = load_tensor(tmp_path / "cache" / "train_clips.tnsr")
     assert clips.shape == (32, 8, 1, 16, 16)
+
+
+def test_train_matches_run_experiment_and_caches_trained_clips(tmp_path, capsys):
+    code, _, _ = run(["train", "--task", "direction2", "--epochs", "1", "--lr", "0.05",
+                      "--train-clips", "64", "--val-clips", "32", "--batch-size", "32",
+                      "--seed", "4", "--cache-data", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    spec = synth.SynthTask(task="direction2", seed=4, train_clips=64, val_clips=32)
+    rec = run_experiment(spec, "tin", TrainConfig(lr=0.05, epochs=1, batch_size=32, seed=4))
+    body = json.loads((tmp_path / "record.json").read_text())
+    assert body["epochs"] == rec.to_dict()["epochs"]
+    train_data, _ = task_data(spec)
+    assert np.array_equal(load_tensor(tmp_path / "cache" / "train_clips.tnsr"), train_data.clips)
 
 
 def test_ablate_subcommand_structure(tmp_path, capsys):
@@ -131,6 +146,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run(["equiv", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["demo", "--offsets", "0,2.5"], None),
+    (["train", "--hidden", "10", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train"], "epochs = abc\n"),
+    (["ablate", "--seeds", "0,x"], None),
+], ids=["demo-offset-out-of-range", "train-hidden-indivisible", "config-file-bad-int",
+        "ablate-bad-seed"])
+def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_config_file_values_apply_and_flags_override(tmp_path, capsys):

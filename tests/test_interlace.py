@@ -234,10 +234,14 @@ def test_batched_matches_per_clip():
     u = rng.child("u").uniform([3, 6, 8, 2, 2], -1.0, 1.0)
     offsets = rng.child("o").uniform([3, 2], -2.4, 2.4)
     weights = rng.child("w").uniform([3, 2, 6], 0.1, 1.9)
-    v, _ = interlace_forward(u, offsets, weights, cfg)
+    grad_v = rng.child("g").uniform(u.shape, -1.0, 1.0)
+    v, tape = interlace_forward(u, offsets, weights, cfg)
+    grads = interlace_backward(grad_v, tape)
     for i in range(3):
-        vi, _ = interlace_forward(u[i], offsets[i], weights[i], cfg)
+        vi, tape_i = interlace_forward(u[i], offsets[i], weights[i], cfg)
         assert np.array_equal(v[i], vi)
+        for batched, single in zip(grads, interlace_backward(grad_v[i], tape_i)):
+            assert np.array_equal(batched[i], single)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,13 @@ def test_assert_finite_raises():
     assert_finite(np.ones(3))
 
 
+def test_assert_finite_accepts_finite_values_whose_sum_overflows():
+    x = np.array([1e308, 1e308])
+    assert assert_finite(x) is x
+    with pytest.raises(NonFiniteError):
+        assert_finite(np.array([1e308, 1e308, np.nan]))
+
+
 def test_tensor_binary_round_trip(tmp_path):
     x = Rng(12).uniform([3, 4, 2], -5.0, 5.0)
     path = tmp_path / "x.tnsr"

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +31,31 @@ def test_lr_zero_leaves_parameters_and_accuracy_unchanged():
     for k, v in net.named_params().items():
         assert np.array_equal(v, before[k])
     assert rec.epochs[-1].val_acc == init_acc
+
+
+_TRAIN_AND_DUMP = """
+import sys
+from tin.synth import SynthTask
+from tin.training import TrainConfig, build_net, task_data, train
+spec = SynthTask(train_clips=96, val_clips=48)
+net = build_net(spec, "tin", seed=0)
+train(net, *task_data(spec), TrainConfig(lr=0.05, epochs=1, seed=0, batch_size=32))
+for name, p in sorted(net.named_params().items()):
+    sys.stdout.write(name + " " + p.tobytes().hex() + "\\n")
+"""
+
+
+def test_trained_parameters_identical_across_blas_thread_counts():
+    import tin
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tin.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_AND_DUMP], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_training_is_bit_deterministic():
