@@ -11,10 +11,8 @@ non-finite values.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -72,17 +70,19 @@ def _parse_list(text: str, kind, what: str) -> tuple:
     return tuple(_parse_number(x, kind, what) for x in text.split(","))
 
 
-def apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """File values fill any option left at its default; flags win."""
+def apply_config_file(args: argparse.Namespace, given: set) -> None:
+    """File values fill any option not given on the command line; flags win.
+
+    given holds the destinations of the options on the command line; every
+    other option still holds its default, which sets the file value's type.
+    """
     if not getattr(args, "config", None):
         return
-    file_vals = parse_config_file(args.config)
-    known = {k: v for k, v in vars(args).items() if k != "config"}
-    for key, raw in file_vals.items():
-        if key not in known:
+    for key, raw in parse_config_file(args.config).items():
+        if key in ("config", "command") or not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r} for this subcommand")
-        if getattr(args, key) == parser_defaults.get(key):
-            like = parser_defaults.get(key)
+        if key not in given:
+            like = getattr(args, key)
             setattr(args, key, _coerce(raw, like if like is not None else ""))
 
 
@@ -214,7 +214,7 @@ def cmd_gradcheck(args) -> int:
 
 def _task_from_args(args) -> synth.SynthTask:
     return synth.SynthTask(task=args.task, w=synth.default_width(args.task),
-                           noise=args.noise if hasattr(args, "noise") else 0.02,
+                           noise=getattr(args, "noise", 0.02),
                            seed=args.seed, train_clips=args.train_clips,
                            val_clips=args.val_clips)
 
@@ -252,11 +252,8 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
-    spec = synth.SynthTask(task=args.task, w=synth.default_width(args.task),
-                           seed=args.seed, train_clips=args.train_clips,
-                           val_clips=args.val_clips)
     cfg = train_mod.TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
-    rows = train_mod.run_ablation(spec, cfg, seeds=seeds, hidden=args.hidden,
+    rows = train_mod.run_ablation(_task_from_args(args), cfg, seeds=seeds, hidden=args.hidden,
                                   shift_fraction=args.shift_fraction)
     out = resolve_out_dir(args)
     train_mod.ablation_to_csv(rows, os.path.join(out, "ablation.csv"))
@@ -332,14 +329,20 @@ def _grid(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{x:6.3f}" for x in row) for row in np.atleast_2d(m))
 
 
+_UNSET = object()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = vars(build_parser().parse_args([args.command]))
+    # parsed again with every default unset, only the given options keep a value
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers.choices[args.command].set_defaults(**dict.fromkeys(vars(args), _UNSET))
+    given = {k for k, v in vars(parser.parse_args(argv)).items() if v is not _UNSET}
     handlers = {"equiv": cmd_equiv, "gradcheck": cmd_gradcheck, "train": cmd_train,
                 "ablate": cmd_ablate, "bench": cmd_bench, "demo": cmd_demo}
     try:
-        apply_config_file(args, defaults)
+        apply_config_file(args, given)
         return handlers[args.command](args)
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,11 @@ reported rather than silently passed. Relative error is
 |a - n| / max(|a|, |n|, 1e-8).
 
 standard_checks() is the registry of every differentiable operation in
-the package, shared by the test suite and the CLI.
+the package, shared by the test suite and the CLI. layer_check() builds
+an entry for anything with forward, backward and named_params; it checks
+each per-frame layer on its own (layer.pointwise_conv2d, layer.relu,
+layer.temporal_conv, layer.spatial_pool.max and .mean, layer.temporal_mean,
+layer.linear), the block (tin_block) and a toy net (toy_net.end_to_end).
 """
 
 from __future__ import annotations
@@ -151,6 +155,44 @@ def _fractional_offsets(rng: Rng, cfg, margin: float = 0.1) -> np.ndarray:
     return np.concatenate([vals, -vals]) if cfg.mirror else vals
 
 
+def _entry(name, live: dict, run, grads, kink_dist=None, tol=TOL) -> tuple:
+    """A registry entry over a dict of live arrays.
+
+    run() -> (out, tape) reads the live arrays and grads(cot, tape) returns
+    a gradient per key; forward and vjp load each check point into the
+    live arrays in place first. The point is a copy of the live arrays.
+    """
+    def load(p):
+        for key, arr in live.items():
+            arr[...] = p[key]
+
+    def forward(p):
+        load(p)
+        return run()[0]
+
+    def vjp(p, cot):
+        load(p)
+        return grads(cot, run()[1])
+
+    return name, forward, vjp, {k: a.copy() for k, a in live.items()}, kink_dist, tol
+
+
+def layer_check(name: str, layer, x, key: str = "x", tol: float = TOL) -> tuple:
+    """Registry entry for anything with forward, backward and named_params.
+
+    Checks the input (under key) and every parameter through the layer's
+    own tape. The layer's parameter arrays are the live arrays, so the
+    layer must not be shared with another entry; x is copied.
+    """
+    live = {**layer.named_params(), key: np.array(x, dtype=np.float64)}
+
+    def grads(cot, tape):
+        gx, param_grads = layer.backward(cot, tape)
+        return {**param_grads, key: gx}
+
+    return _entry(name, live, lambda: layer.forward(live[key]), grads, tol=tol)
+
+
 def standard_checks(seed: int = 0) -> list:
     """(name, forward, vjp, point, kink_dist, tol) for every operator."""
     from . import blocks, nets
@@ -162,66 +204,47 @@ def standard_checks(seed: int = 0) -> list:
 
     # temporal sampling w.r.t. the input at a fixed fractional offset
     u0 = rng.child("ts_u").uniform([6, 3, 2, 2], -1.0, 1.0)
-    checks.append((
-        "temporal_sample.input",
-        lambda p: temporal_sample(p["u"], 1.3),
-        lambda p, cot: {"u": temporal_sample_vjp(p["u"], 1.3, cot)[0]},
-        {"u": u0}, None, TOL))
+    ts = {"u": u0.copy()}
+    checks.append(_entry("temporal_sample.input", ts, lambda: (temporal_sample(ts["u"], 1.3), None),
+                         lambda cot, _: {"u": temporal_sample_vjp(ts["u"], 1.3, cot)[0]}))
 
     # temporal sampling w.r.t. the offset (fractional, plus a flagged kink)
-    def ts_off_fwd(p):
-        return temporal_sample(u0, float(p["offset"][0]))
+    def ts_offset(name, offset):
+        live = {"offset": np.array([offset])}
+        return _entry(name, live, lambda: (temporal_sample(u0, float(live["offset"][0])), None),
+                      lambda cot, _: {"offset": np.array(
+                          [temporal_sample_vjp(u0, float(live["offset"][0]), cot)[1]])},
+                      lambda _, p: offset_kink_distance(p["offset"]))
 
-    def ts_off_vjp(p, cot):
-        return {"offset": np.array([temporal_sample_vjp(u0, float(p["offset"][0]), cot)[1]])}
-
-    def ts_off_kinks(name, p):
-        return offset_kink_distance(p["offset"])
-
-    checks.append(("temporal_sample.offset", ts_off_fwd, ts_off_vjp,
-                   {"offset": np.array([-0.7])}, ts_off_kinks, TOL))
-    checks.append(("temporal_sample.offset_at_integer_kink", ts_off_fwd, ts_off_vjp,
-                   {"offset": np.array([2.0])}, ts_off_kinks, TOL))
+    checks.append(ts_offset("temporal_sample.offset", -0.7))
+    checks.append(ts_offset("temporal_sample.offset_at_integer_kink", 2.0))
 
     # full interlace operator w.r.t. input, offsets, weights
     cfg = InterlaceConfig(t=6, c=8, g=4, shift_fraction=0.5, mirror=False)
     uin = rng.child("il_u").uniform([6, 8, 2, 2], -1.0, 1.0)
-    off0 = _fractional_offsets(rng.child("il_off"), cfg)
-    wgt0 = rng.child("il_w").uniform([4, 6], 0.2, 1.8)
-
-    def il_fwd(p):
-        return interlace_forward(p["u"], p["offsets"], p["weights"], cfg)[0]
-
-    def il_vjp(p, cot):
-        _, tape = interlace_forward(p["u"], p["offsets"], p["weights"], cfg)
-        gu, go, gw = interlace_backward(cot, tape)
-        return {"u": gu, "offsets": go, "weights": gw}
+    il = {"u": uin.copy(), "offsets": _fractional_offsets(rng.child("il_off"), cfg),
+          "weights": rng.child("il_w").uniform([4, 6], 0.2, 1.8)}
 
     def il_kinks(name, p):
         if name == "offsets":
             return offset_kink_distance(p["offsets"])
         return np.full(np.asarray(p[name]).size, np.inf)
 
-    checks.append(("interlace", il_fwd, il_vjp,
-                   {"u": uin, "offsets": off0, "weights": wgt0}, il_kinks, TOL))
+    checks.append(_entry("interlace", il,
+                         lambda: interlace_forward(il["u"], il["offsets"], il["weights"], cfg),
+                         lambda cot, tape: dict(zip(il, interlace_backward(cot, tape))), il_kinks))
 
     cfg_all = InterlaceConfig(t=6, c=8, g=2, shift_fraction=0.5, mirror=True,
                               weight_all_channels=True)
-    off_m = _fractional_offsets(rng.child("ilm_off"), cfg_all)
+    ilm = {"u": uin.copy(), "half": _fractional_offsets(rng.child("ilm_off"), cfg_all)[:1],
+           "weights": rng.child("ilm_w").uniform([2, 6], 0.2, 1.8)}
 
-    def ilm_fwd(p):
-        offs = np.concatenate([p["half"], -p["half"]])
-        return interlace_forward(p["u"], offs, p["weights"], cfg_all)[0]
-
-    def ilm_vjp(p, cot):
-        offs = np.concatenate([p["half"], -p["half"]])
-        _, tape = interlace_forward(p["u"], offs, p["weights"], cfg_all)
+    def ilm_grads(cot, tape):
         gu, go, gw = interlace_backward(cot, tape)
         return {"u": gu, "half": go[:1] - go[1:], "weights": gw}
 
-    checks.append(("interlace.mirror_weight_all", ilm_fwd, ilm_vjp,
-                   {"u": uin, "half": off_m[:1], "weights": rng.child("ilm_w").uniform([2, 6], 0.2, 1.8)},
-                   None, TOL))
+    checks.append(_entry("interlace.mirror_weight_all", ilm, lambda: interlace_forward(
+        ilm["u"], np.concatenate([ilm["half"], -ilm["half"]]), ilm["weights"], cfg_all), ilm_grads))
 
     # pooling
     checks.append((
@@ -230,50 +253,23 @@ def standard_checks(seed: int = 0) -> list:
         lambda p, cot: {"u": nets.pool_descriptor_vjp(cot, p["u"].shape[-2], p["u"].shape[-1])},
         {"u": rng.child("pool").uniform([5, 3, 4, 4], -1.0, 1.0)}, None, TOL))
 
-    # conv1d, C -> 1 (no bias) and C -> G (bias)
+    # conv1d, C -> 1 (no bias) and C -> G (bias); the tape is the windows
     z0 = rng.child("c1_z").uniform([2, 5, 7], -1.0, 1.0)
-    k1 = rng.child("c1_k").uniform([1, 5, 3], -1.0, 1.0)
-
-    def c1_fwd(p):
-        return conv_apply(p["z"], p["kern"], None)
-
-    def c1_vjp(p, cot):
-        _, win = nets.conv1d_forward(p["z"], p["kern"], None)
-        gz, gk, _ = nets.conv1d_vjp(cot, win, p["kern"], with_bias=False)
-        return {"z": gz, "kern": gk}
-
-    def conv_apply(z, kern, bias):
-        return nets.conv1d_forward(z, kern, bias)[0]
-
-    checks.append(("conv1d.single_out", c1_fwd, c1_vjp, {"z": z0, "kern": k1}, None, TOL))
-
-    kg = rng.child("cg_k").uniform([4, 5, 3], -1.0, 1.0)
-    bg = rng.child("cg_b").uniform([4], -1.0, 1.0)
-
-    def cg_fwd(p):
-        return conv_apply(p["z"], p["kern"], p["bias"])
-
-    def cg_vjp(p, cot):
-        _, win = nets.conv1d_forward(p["z"], p["kern"], p["bias"])
-        gz, gk, gb = nets.conv1d_vjp(cot, win, p["kern"], with_bias=True)
-        return {"z": gz, "kern": gk, "bias": gb}
-
-    checks.append(("conv1d.multi_out", cg_fwd, cg_vjp,
-                   {"z": z0, "kern": kg, "bias": bg}, None, TOL))
+    c1 = {"z": z0.copy(), "kern": rng.child("c1_k").uniform([1, 5, 3], -1.0, 1.0)}
+    checks.append(_entry("conv1d.single_out", c1, lambda: nets.conv1d_forward(c1["z"], c1["kern"]),
+                         lambda cot, win: dict(zip(c1, nets.conv1d_vjp(cot, win, c1["kern"], False)))))
+    cg = {"z": z0.copy(), "kern": rng.child("cg_k").uniform([4, 5, 3], -1.0, 1.0),
+          "bias": rng.child("cg_b").uniform([4], -1.0, 1.0)}
+    checks.append(_entry("conv1d.multi_out", cg,
+                         lambda: nets.conv1d_forward(cg["z"], cg["kern"], cg["bias"]),
+                         lambda cot, win: dict(zip(cg, nets.conv1d_vjp(cot, win, cg["kern"], True)))))
 
     # fully connected
-    x0 = rng.child("fc_x").uniform([3, 6], -1.0, 1.0)
-    w0 = rng.child("fc_w").uniform([4, 6], -1.0, 1.0)
-    b0 = rng.child("fc_b").uniform([4], -1.0, 1.0)
-
-    def fc_fwd(p):
-        return nets.fc_forward(p["x"], p["w"], p["b"])
-
-    def fc_vjp(p, cot):
-        gx, gw, gb = nets.fc_vjp(cot, p["x"], p["w"])
-        return {"x": gx, "w": gw, "b": gb}
-
-    checks.append(("fc", fc_fwd, fc_vjp, {"x": x0, "w": w0, "b": b0}, None, TOL))
+    fc = {"x": rng.child("fc_x").uniform([3, 6], -1.0, 1.0),
+          "w": rng.child("fc_w").uniform([4, 6], -1.0, 1.0),
+          "b": rng.child("fc_b").uniform([4], -1.0, 1.0)}
+    checks.append(_entry("fc", fc, lambda: (nets.fc_forward(fc["x"], fc["w"], fc["b"]), None),
+                         lambda cot, _: dict(zip(fc, nets.fc_vjp(cot, fc["x"], fc["w"])))))
 
     # sigmoid (kept unsaturated so differences stay meaningful)
     xs = rng.child("sig").uniform([4, 5], -3.5, 3.5)
@@ -297,68 +293,52 @@ def standard_checks(seed: int = 0) -> list:
         {"raw": raw0}, None, TOL))
 
     # offset net and weight net end to end on their own parameters
+    zo = rng.child("onet_z").uniform([2, 5, 7], -1.0, 1.0)
     onet = nets.OffsetNetParams(7, 5, 2, rng.child("onet"))
     onet.fc2_w[:] = rng.child("onet_w2").uniform([2, 7], -0.5, 0.5)
     onet.fc2_b[:] = rng.child("onet_b2").uniform([2], -0.5, 0.5)
-
-    def onet_with(p):
-        q = nets.OffsetNetParams(7, 5, 2, Rng(0))
-        q.conv, q.fc1_w, q.fc1_b = p["conv"], p["fc1_w"], p["fc1_b"]
-        q.fc2_w, q.fc2_b = p["fc2_w"], p["fc2_b"]
-        return q
-
-    zo = rng.child("onet_z").uniform([2, 5, 7], -1.0, 1.0)
-
-    def on_fwd(p):
-        return nets.offsetnet_forward(zo, onet_with(p))[0]
-
-    def on_vjp(p, cot):
-        q = onet_with(p)
-        _, tape = nets.offsetnet_forward(zo, q)
-        grads, _ = nets.offsetnet_vjp(cot, tape, q)
-        return grads
-
-    checks.append(("offsetnet.params", on_fwd, on_vjp,
-                   dict(onet.named_params()), None, TOL))
+    checks.append(_entry("offsetnet.params", onet.named_params(),
+                         lambda: nets.offsetnet_forward(zo, onet),
+                         lambda cot, tape: nets.offsetnet_vjp(cot, tape, onet)[0]))
 
     wnet = nets.WeightNetParams(7, 5, 3, rng.child("wnet"))
     wnet.conv[:] = rng.child("wnet_k").uniform([3, 5, 3], -0.5, 0.5)
     wnet.bias[:] = rng.child("wnet_b").uniform([3], -0.5, 0.5)
-
-    def wnet_with(p):
-        q = nets.WeightNetParams(7, 5, 3, Rng(0))
-        q.conv, q.bias = p["conv"], p["bias"]
-        return q
-
-    def wn_fwd(p):
-        return nets.weightnet_forward(zo, wnet_with(p))[0]
-
-    def wn_vjp(p, cot):
-        q = wnet_with(p)
-        _, tape = nets.weightnet_forward(zo, q)
-        grads, _ = nets.weightnet_vjp(cot, tape, q)
-        return grads
-
-    checks.append(("weightnet.params", wn_fwd, wn_vjp, dict(wnet.named_params()), None, TOL))
+    checks.append(_entry("weightnet.params", wnet.named_params(),
+                         lambda: nets.weightnet_forward(zo, wnet),
+                         lambda cot, tape: nets.weightnet_vjp(cot, tape, wnet)[0]))
 
     # classification loss
     lg = rng.child("ce_x").uniform([3, 4], -2.0, 2.0)
     labels = np.array([0, 2, 3])
+    checks.append((
+        "cross_entropy",
+        lambda p: np.array([blocks.cross_entropy(p["logits"], labels)[0]]),
+        lambda p, cot: {"logits": float(cot[0]) * blocks.cross_entropy(p["logits"], labels)[1]},
+        {"logits": lg}, None, TOL))
 
-    def ce_fwd(p):
-        from .blocks import cross_entropy
-        return np.array([cross_entropy(p["logits"], labels)[0]])
-
-    def ce_vjp(p, cot):
-        from .blocks import cross_entropy
-        return {"logits": float(cot[0]) * cross_entropy(p["logits"], labels)[1]}
-
-    checks.append(("cross_entropy", ce_fwd, ce_vjp, {"logits": lg}, None, TOL))
+    # every per-frame layer on its own, [N, T, C, H, W] -> ... -> [N, K]
+    tconv = blocks.TemporalConv(4, "tconv")     # random taps: the identity init uses one tap only
+    tconv.taps[:] = rng.child("tconv").uniform([4, 3], -1.0, 1.0)
+    pw = blocks.PointwiseConv2d(3, 4, rng.child("pw"), "pw")
+    for name, layer, shape in (
+            ("layer.pointwise_conv2d", pw, [2, 3, 3, 2, 2]),
+            ("layer.relu", blocks.ReLU(), [2, 3, 4, 2, 2]),
+            ("layer.temporal_conv", tconv, [2, 3, 4, 2, 2]),
+            ("layer.spatial_pool.max", blocks.SpatialPool("max"), [2, 3, 4, 3, 3]),
+            ("layer.spatial_pool.mean", blocks.SpatialPool("mean"), [2, 3, 4, 3, 3]),
+            ("layer.temporal_mean", blocks.TemporalMean(), [2, 3, 4]),
+            ("layer.linear", blocks.Linear(4, 3, rng.child("linear"), "linear"), [2, 4])):
+        checks.append(layer_check(name, layer, rng.child(name).uniform(shape, -1.0, 1.0)))
 
     # the full block: every parameter plus the input, via the block's own tape
-    checks.append(_block_check(rng.child("block")))
+    brng = rng.child("block")
+    checks.append(layer_check("tin_block", _nudged_block(brng),
+                              brng.child("u").uniform([4, 8, 2, 2], -1.0, 1.0), key="u"))
     # toy net end to end: deepest composition, looser tolerance
-    checks.append(_toynet_check(rng.child("toynet")))
+    trng = rng.child("toynet")
+    checks.append(layer_check("toy_net.end_to_end", _scaled_toy_net(trng),
+                              trng.child("x").uniform([2, 4, 2, 3, 3], -2.0, 2.0), tol=1e-5))
     return checks
 
 
@@ -376,35 +356,8 @@ def _nudged_block(rng: Rng):
     return block
 
 
-def _block_check(rng: Rng):
-    from . import blocks
-
-    block = _nudged_block(rng)
-    u0 = rng.child("u").uniform([4, 8, 2, 2], -1.0, 1.0)
-    names = list(block.named_params())
-
-    def load(p):
-        for name in names:
-            block.named_params()[name][:] = p[name]
-
-    def fwd(p):
-        load(p)
-        return block.forward(p["u"])[0]
-
-    def vjp(p, cot):
-        load(p)
-        v, tape = block.forward(p["u"])
-        gu, grads = block.backward(cot, tape)
-        grads["u"] = gu
-        return grads
-
-    point = {name: arr.copy() for name, arr in block.named_params().items()}
-    point["u"] = u0
-    return ("tin_block", fwd, vjp, point, None, TOL)
-
-
-def _toynet_check(rng: Rng):
-    """Deepest composition: the whole network mapping, checked as a VJP.
+def _scaled_toy_net(rng: Rng):
+    """The toy net for the deepest composition, the whole network mapping.
 
     Scales are pushed up so no weakly-connected coordinate has a gradient
     near the finite-difference noise floor; exact-zero coordinates (dead
@@ -426,27 +379,7 @@ def _toynet_check(rng: Rng):
     for layer in net.layers:
         if layer.name in ("conv1", "conv2"):
             layer.w *= 2.0
-    batch = rng.child("x").uniform([2, 4, 2, 3, 3], -2.0, 2.0)
-    names = list(net.named_params())
-
-    def load(p):
-        for name in names:
-            net.named_params()[name][:] = p[name]
-
-    def fwd(p):
-        load(p)
-        return net.forward(p["x"])[0]
-
-    def vjp(p, cot):
-        load(p)
-        _, tapes = net.forward(p["x"])
-        gx, grads = net.backward(cot, tapes)
-        grads["x"] = gx
-        return grads
-
-    point = {name: arr.copy() for name, arr in net.named_params().items()}
-    point["x"] = batch
-    return ("toy_net.end_to_end", fwd, vjp, point, None, 1e-5)
+    return net
 
 
 def run_standard_checks(seed: int = 0, max_coords: int = 256) -> dict:

@@ -240,7 +240,7 @@ def interlace_forward(u, offsets, weights, cfg: InterlaceConfig):
     return (v if batched else v[0]), tape
 
 
-def interlace_backward(grad_v, tape: InterlaceTape, cfg: InterlaceConfig | None = None):
+def interlace_backward(grad_v, tape: InterlaceTape):
     """Exact VJPs w.r.t. the input, the offsets and the attention weights.
 
     The tape is single-use; a second call on the same tape is an error.
@@ -248,8 +248,6 @@ def interlace_backward(grad_v, tape: InterlaceTape, cfg: InterlaceConfig | None 
     if tape.consumed:
         raise ShapeError("interlace tape already consumed by a backward call")
     tape.consumed = True
-    if cfg is not None and cfg != tape.cfg:
-        raise ShapeError("config does not match the one recorded on the tape")
     cfg = tape.cfg
     grad_v = np.asarray(grad_v, dtype=tape.u.dtype)
     gb = grad_v[None] if not tape.batched else grad_v

@@ -139,12 +139,17 @@ def save_tensor(path, x: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a save_tensor file; a file of any other length raises ShapeError."""
     with open(path, "rb") as fh:
-        (rank,) = struct.unpack("<Q", fh.read(8))
-        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-        n = _checked_numel(shape)
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8", count=n)
-    return data.reshape(shape).astype(np.float64)
+        blob = fh.read()
+    rank = struct.unpack_from("<Q", blob)[0] if len(blob) >= 8 else 0
+    if len(blob) < 8 * (1 + rank):
+        raise ShapeError(f"{path}: {len(blob)} bytes is too short for a tensor header")
+    shape = struct.unpack_from(f"<{rank}Q", blob, 8)
+    size = 8 * (1 + rank + _checked_numel(shape))
+    if len(blob) != size:
+        raise ShapeError(f"{path}: a tensor shaped {shape} takes {size} bytes, the file has {len(blob)}")
+    return np.frombuffer(blob, dtype="<f8", offset=8 * (1 + rank)).reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(directory, params: dict) -> None:

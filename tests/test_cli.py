@@ -125,6 +125,15 @@ def test_demo_dump_and_load_round_trip(tmp_path, capsys):
     assert out1 == out2  # same input tensor, same walkthrough
 
 
+def test_demo_load_of_a_truncated_file_exits_2_with_one_line(tmp_path, capsys):
+    dump = tmp_path / "input.tnsr"
+    run(["demo", "--dump", str(dump)], capsys)
+    dump.write_bytes(dump.read_bytes()[:100])
+    code, _, err = run(["demo", "--load", str(dump)], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equiv", "--no-such-flag"])
@@ -153,8 +162,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     (["train", "--hidden", "10", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
     (["train"], "epochs = abc\n"),
     (["ablate", "--seeds", "0,x"], None),
+    (["equiv"], "command = train\n"),
 ], ids=["demo-offset-out-of-range", "train-hidden-indivisible", "config-file-bad-int",
-        "ablate-bad-seed"])
+        "ablate-bad-seed", "config-file-command-key"])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "run.cfg"
@@ -179,6 +189,13 @@ def test_config_file_values_apply_and_flags_override(tmp_path, capsys):
                       "--out", str(out_dir2)], capsys)
     body = json.loads((out_dir2 / "equiv_report.json").read_text())
     assert body["trials"] == 30 and body["seed"] == 11
+
+    # a flag given at its default value still wins over the file
+    out_dir3 = tmp_path / "r3"
+    code, _, _ = run(["equiv", "--config", str(cfg), "--trials", "1000",
+                      "--out", str(out_dir3)], capsys)
+    body = json.loads((out_dir3 / "equiv_report.json").read_text())
+    assert body["trials"] == 1000 and body["seed"] == 11
 
 
 def test_impossible_tolerance_exits_1(tmp_path, capsys):

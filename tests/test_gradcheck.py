@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tin.errors import NonFiniteError
-from tin.gradcheck import (GradReport, check, offset_kink_distance, rel_err,
+from tin import blocks
+from tin.gradcheck import (GradReport, check, layer_check, offset_kink_distance, rel_err,
                            run_standard_checks, standard_checks)
 from tin.tensors import Rng
 
@@ -76,8 +77,50 @@ def test_registry_covers_every_operator():
                      "pool_descriptor", "conv1d.single_out", "conv1d.multi_out", "fc",
                      "sigmoid", "rescale_offsets", "rescale_offsets.mirror",
                      "offsetnet.params", "weightnet.params", "cross_entropy",
-                     "tin_block", "toy_net.end_to_end"):
+                     "tin_block", "toy_net.end_to_end", "layer.pointwise_conv2d",
+                     "layer.relu", "layer.temporal_conv", "layer.spatial_pool.max",
+                     "layer.spatial_pool.mean", "layer.temporal_mean", "layer.linear"):
         assert expected in names
+
+
+class ScaledBackward:
+    """A layer whose backward is off by a factor of 1.01."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def named_params(self):
+        return self.layer.named_params()
+
+    def forward(self, x):
+        return self.layer.forward(x)
+
+    def backward(self, grad_y, tape):
+        gx, grads = self.layer.backward(grad_y, tape)
+        return 1.01 * gx, {k: 1.01 * v for k, v in grads.items()}
+
+
+def test_layer_check_catches_a_scaled_backward():
+    x = Rng(3).uniform([2, 3, 4, 2, 2], -1.0, 1.0)
+    conv = blocks.PointwiseConv2d(4, 3, Rng(4), "pw")
+    _, fwd, vjp, point, kink_dist, tol = layer_check("pw", conv, x)
+    assert check(fwd, vjp, point, tol=tol, kink_dist=kink_dist).passed
+    _, fwd, vjp, point, kink_dist, tol = layer_check("pw", ScaledBackward(conv), x)
+    rep = check(fwd, vjp, point, tol=tol, kink_dist=kink_dist)
+    assert {p.name for p in rep.params} == {"w", "b", "x"}
+    assert not any(p.passed for p in rep.params)
+
+
+def test_each_entry_alone_matches_the_full_registry():
+    # an entry that wrote into an array another entry reads would change
+    # the reports of the entries after it
+    full = run_standard_checks(seed=0, max_coords=64)
+    for i, name in enumerate(full):
+        entry_name, fwd, vjp, point, kink_dist, tol = standard_checks(0)[i]
+        assert entry_name == name
+        alone = check(fwd, vjp, point, tol=tol, rng=Rng(0 ^ 0x5EED), max_coords=64,
+                      kink_dist=kink_dist)
+        assert alone.to_dict() == full[name].to_dict(), name
 
 
 def test_full_registry_passes():

@@ -152,6 +152,17 @@ def test_tensor_format_layout(tmp_path):
     assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("cut", [lambda raw: raw[:12], lambda raw: raw[:-8],
+                                 lambda raw: raw + bytes(8)],
+                         ids=["short-header", "short-data", "trailing-bytes"])
+def test_load_tensor_rejects_a_file_of_the_wrong_length(tmp_path, cut):
+    path = tmp_path / "x.tnsr"
+    save_tensor(path, np.ones((2, 2)))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ShapeError):
+        load_tensor(path)
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = {"a.w": Rng(1).uniform([2, 3]), "b.bias": np.zeros(4)}
     save_checkpoint(tmp_path / "ckpt", params)
