@@ -1,11 +1,10 @@
 """Temporal interlacing: learned fractional temporal shifts of grouped
 feature channels, with the oracles that keep the implementation honest."""
 
-from .blocks import TinBlock, ToyNet, cross_entropy, make_toy_net
+from .blocks import Chain, OffsetNet, TinBlock, WeightNet, cross_entropy, make_toy_net
 from .interlace import (InterlaceConfig, interlace_backward, interlace_forward,
                         partition_channels, temporal_sample, temporal_sample_vjp)
-from .nets import (OffsetNetParams, WeightNetParams, offsetnet_forward,
-                   pool_descriptor, rescale_offsets, weightnet_forward)
+from .nets import offsetnet_forward, pool_descriptor, rescale_offsets, weightnet_forward
 from .synth import SynthTask, generate_task
 from .tcn import build_equiv_kernel, dense_tconv, run_equivalence_trials, verify_equivalence
 from .tensors import Rng, load_tensor, mean_over, rand_uniform, save_tensor, zeros
@@ -16,9 +15,9 @@ __version__ = "0.1.0"
 __all__ = [
     "InterlaceConfig", "interlace_forward", "interlace_backward",
     "partition_channels", "temporal_sample", "temporal_sample_vjp",
-    "OffsetNetParams", "WeightNetParams", "offsetnet_forward", "weightnet_forward",
+    "OffsetNet", "WeightNet", "offsetnet_forward", "weightnet_forward",
     "pool_descriptor", "rescale_offsets",
-    "TinBlock", "ToyNet", "make_toy_net", "cross_entropy",
+    "TinBlock", "Chain", "make_toy_net", "cross_entropy",
     "build_equiv_kernel", "dense_tconv", "verify_equivalence", "run_equivalence_trials",
     "SynthTask", "generate_task", "TrainConfig", "train", "run_experiment", "run_ablation",
     "Rng", "zeros", "rand_uniform", "mean_over", "save_tensor", "load_tensor",

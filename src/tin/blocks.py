@@ -1,16 +1,21 @@
-"""The full interlacing block and the small per-frame layers around it.
+"""The full interlacing block, its two generator nets and the toy nets.
 
 A TinBlock wires pooling, the offset net, the weight net and the interlace
 operator together: v = interlace(u, rescale(offsetnet(pool(u))),
-weightnet(pool(u))). The remaining layers (pointwise 2D conv, ReLU,
-spatial mean pool, temporal mean, linear head, and a per-channel trainable
-temporal convolution) exist to build toy video classifiers whose only
-temporal mixing is the block under test: without it they are provably
-blind to frame order.
+weightnet(pool(u))). The per-frame layers (pointwise 2D conv, ReLU,
+spatial pool, temporal mean, linear head, and a per-channel trainable
+temporal convolution) build toy video classifiers whose only temporal
+mixing is the block under test: without it they are provably blind to
+frame order. Feature-map batches are [N, T, C, H, W].
+
+The generator nets are chains of small layers over descriptors [N, C, T]:
+OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
+WeightNet = [ChannelMean] -> Conv1d -> Sigmoid x2.
 
 Every layer follows the same protocol: forward(x) -> (y, tape),
 backward(grad_y, tape) -> (grad_x, param_grad_dict), named_params().
-Batches are [N, T, C, H, W].
+One Chain runs forward, backward and named_params for the toy nets and
+for both generator nets.
 """
 
 from __future__ import annotations
@@ -20,15 +25,21 @@ import numpy as np
 from . import nets
 from .errors import ShapeError
 from .interlace import InterlaceConfig, interlace_backward, interlace_forward
-from .nets import OffsetNetParams, WeightNetParams
 from .tensors import Rng, assert_finite
 
 
+def _uniform(rng: Rng, shape, fan_in: int, scale: float | None) -> np.ndarray:
+    """Uniform in +-scale, +-1/sqrt(fan_in) by default; scale 0 gives zeros."""
+    k = scale if scale is not None else 1.0 / np.sqrt(fan_in)
+    return rng.uniform(shape, -k, k) if k else np.zeros(shape)
+
+
 class Layer:
+    """By default a layer's parameters are its attributes w and b, where it has them."""
     name = "layer"
 
     def named_params(self) -> dict:
-        return {}
+        return {k: getattr(self, k) for k in ("w", "b") if getattr(self, k, None) is not None}
 
     def forward(self, x):
         raise NotImplementedError
@@ -37,17 +48,21 @@ class Layer:
         raise NotImplementedError
 
 
-class PointwiseConv2d(Layer):
-    """1x1 convolution applied to every frame independently."""
-
+class Linear(Layer):
     def __init__(self, cin: int, cout: int, rng: Rng, name: str, scale: float | None = None):
         self.name = name
-        k = scale if scale is not None else 1.0 / np.sqrt(cin)
-        self.w = rng.uniform([cout, cin], -k, k)
+        self.w = _uniform(rng, [cout, cin], cin, scale)
         self.b = np.zeros(cout)
 
-    def named_params(self):
-        return {"w": self.w, "b": self.b}
+    def forward(self, x):
+        return x @ self.w.T + self.b[None, :], x
+
+    def backward(self, grad_y, x):
+        return grad_y @ self.w, {"w": grad_y.T @ x, "b": grad_y.sum(axis=0)}
+
+
+class PointwiseConv2d(Linear):
+    """The linear map applied at every pixel of every frame: a 1x1 convolution."""
 
     def forward(self, x):
         n, t, c, h, w = x.shape
@@ -164,71 +179,83 @@ class TemporalMean(Layer):
         return np.broadcast_to(grad_y[:, None, :] / t, shape).copy(), {}
 
 
-class Linear(Layer):
-    def __init__(self, cin: int, cout: int, rng: Rng, name: str, scale: float | None = None):
-        self.name = name
-        k = scale if scale is not None else 1.0 / np.sqrt(cin)
-        self.w = rng.uniform([cout, cin], -k, k)
-        self.b = np.zeros(cout)
+class Conv1d(Layer):
+    """Kernel-3 convolution over time with zero "same" padding.
 
-    def named_params(self):
-        return {"w": self.w, "b": self.b}
-
-    def forward(self, x):
-        return x @ self.w.T + self.b[None, :], x
-
-    def backward(self, grad_y, x):
-        return grad_y @ self.w, {"w": grad_y.T @ x, "b": grad_y.sum(axis=0)}
-
-
-class TinBlock(Layer):
-    """Pool -> offset net -> rescale, pool -> weight net, then interlace.
-
-    detach_offsets treats the emitted offsets and weights as constants in
-    the backward pass (no gradient flows into the nets or back through the
-    pooled descriptor); useful for ablating the parameter-generator path.
+    [N, Cin, T] -> [N, Cout, T]; w is [Cout, Cin, 3], b (optional) [Cout].
+    The tape is the padded input windows [N, Cin, T, 3].
     """
 
-    def __init__(self, cfg: InterlaceConfig, rng: Rng, name: str = "tin",
-                 weightnet_input: str = "descriptor", detach_offsets: bool = False):
+    def __init__(self, cin: int, cout: int, rng: Rng, name: str, bias: bool = True,
+                 scale: float | None = None):
         self.name = name
-        self.cfg = cfg
-        self.onet = OffsetNetParams(cfg.t, cfg.c, cfg.g, rng.child("offsetnet"))
-        self.wnet = WeightNetParams(cfg.t, cfg.c, cfg.g, rng.child("weightnet"), weightnet_input)
-        self.detach_offsets = detach_offsets
+        self.w = _uniform(rng, [cout, cin, 3], 3 * cin, scale)
+        self.b = np.zeros(cout) if bias else None
 
-    def named_params(self):
-        out = {f"onet.{k}": v for k, v in self.onet.named_params().items()}
-        out.update({f"wnet.{k}": v for k, v in self.wnet.named_params().items()})
-        return out
+    def forward(self, x):
+        if x.ndim != 3 or x.shape[1] != self.w.shape[1]:
+            raise ShapeError(f"conv kernel {self.w.shape} incompatible with input {x.shape}")
+        n, cin, t = x.shape
+        xp = np.zeros((n, cin, t + 2), dtype=x.dtype)
+        xp[:, :, 1:-1] = x
+        windows = np.stack([xp[:, :, k:k + t] for k in range(3)], axis=-1)
+        y = np.einsum("nctk,gck->ngt", windows, self.w)
+        if self.b is not None:
+            y += self.b[None, :, None]
+        return y, windows
 
-    def forward(self, u):
-        z = nets.pool_descriptor(u)
-        raw, otape = nets.offsetnet_forward(z, self.onet)
-        offsets = nets.rescale_offsets(raw, self.cfg.t, self.cfg.mirror)
-        weights, wtape = nets.weightnet_forward(z, self.wnet)
-        v, itape = interlace_forward(u, offsets, weights, self.cfg)
-        tape = {"itape": itape, "otape": otape, "wtape": wtape,
-                "offsets": offsets, "weights": weights, "hw": u.shape[-2:]}
-        return v, tape
+    def backward(self, grad_y, windows):
+        n, cin, t = windows.shape[:3]
+        grads = {"w": np.einsum("ngt,nctk->gck", grad_y, windows)}
+        if self.b is not None:
+            grads["b"] = grad_y.sum(axis=(0, 2))
+        grad_xp = np.zeros((n, cin, t + 2), dtype=grad_y.dtype)
+        for k in range(3):
+            grad_xp[:, :, k:k + t] += np.einsum("ngt,gc->nct", grad_y, self.w[:, :, k])
+        return grad_xp[:, :, 1:-1], grads
 
-    def backward(self, grad_v, tape):
-        grad_u, grad_off, grad_w = interlace_backward(grad_v, tape["itape"])
-        if self.detach_offsets:
-            return grad_u, {name: np.zeros_like(p) for name, p in self.named_params().items()}
-        ograds, wgrads, grad_z = nets.nets_backward(
-            grad_off, grad_w, tape["otape"], tape["wtape"], self.onet, self.wnet, self.cfg.mirror)
-        h, w = tape["hw"]
-        grad_u = grad_u + nets.pool_descriptor_vjp(grad_z, h, w)
-        grads = {f"onet.{k}": v for k, v in ograds.items()}
-        grads.update({f"wnet.{k}": v for k, v in wgrads.items()})
-        return grad_u, grads
+
+class Sigmoid(Layer):
+    """scale * nets.sigmoid(x): (0, 1) for the raw offsets, (0, 2) for the weights."""
+    name = "sigmoid"
+
+    def __init__(self, scale: float = 1.0):
+        self.scale = scale
+
+    def forward(self, x):
+        s = nets.sigmoid(x)
+        return self.scale * s, s
+
+    def backward(self, grad_y, s):
+        return (self.scale * grad_y) * s * (1.0 - s), {}
+
+
+class ChannelMean(Layer):
+    """[N, C, T] -> [N, 1, T]."""
+    name = "channel_mean"
+
+    def forward(self, x):
+        return x.mean(axis=1, keepdims=True), x.shape
+
+    def backward(self, grad_y, shape):
+        return np.broadcast_to(grad_y / shape[1], shape).copy(), {}
+
+
+class Squeeze(Layer):
+    """[N, 1, T] -> [N, T]."""
+    name = "squeeze"
+
+    def forward(self, x):
+        return x[:, 0, :], None
+
+    def backward(self, grad_y, _):
+        return grad_y[:, None, :], {}
 
 
 # ---------------------------------------------------------------------------
-# toy networks
+# layer chains: the toy nets and the generator nets
 
-class ToyNet:
+class Chain:
     """A plain layer chain with named parameters and explicit backward."""
 
     def __init__(self, layers: list):
@@ -238,11 +265,7 @@ class ToyNet:
         self.layers = layers
 
     def named_params(self) -> dict:
-        out = {}
-        for layer in self.layers:
-            for k, v in layer.named_params().items():
-                out[f"{layer.name}.{k}"] = v
-        return out
+        return {f"{l.name}.{k}": v for l in self.layers for k, v in l.named_params().items()}
 
     def forward(self, x):
         tapes = []
@@ -255,18 +278,99 @@ class ToyNet:
         grads = {}
         for layer, tape in zip(reversed(self.layers), reversed(tapes)):
             grad_out, layer_grads = layer.backward(grad_out, tape)
-            for k, v in layer_grads.items():
-                grads[f"{layer.name}.{k}"] = v
+            grads.update({f"{layer.name}.{k}": v for k, v in layer_grads.items()})
         return grad_out, grads
 
     def tin_blocks(self) -> list:
         return [l for l in self.layers if isinstance(l, TinBlock)]
 
 
+class OffsetNet(Chain):
+    """Descriptor [N, C, T] -> raw per-group offsets in (0, 1), [N, G].
+
+    A C -> 1 conv over time, then T -> T and T -> G fully connected
+    layers. The last layer starts at zero, so the raw output is exactly
+    sigmoid(0) = 0.5 per group, i.e. an offset of 0. The attributes conv,
+    fc1_w, fc1_b, fc2_w and fc2_b are the layers' live parameter arrays.
+    """
+
+    def __init__(self, t: int, c: int, g: int, rng: Rng):
+        self.t, self.c = t, c
+        conv = Conv1d(c, 1, rng.child("conv"), "conv", bias=False)
+        fc1 = Linear(t, t, rng.child("fc1"), "fc1")
+        fc2 = Linear(t, g, rng.child("fc2"), "fc2", scale=0.0)
+        super().__init__([conv, Squeeze(), fc1, ReLU(), fc2, Sigmoid()])
+        self.conv, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b = conv.w, fc1.w, fc1.b, fc2.w, fc2.b
+
+
+class WeightNet(Chain):
+    """Descriptor [N, C, T] -> per-group per-frame weights in (0, 2), [N, G, T].
+
+    One conv over time (G outputs, with bias), then 2 * sigmoid. Kernel
+    and bias start at zero, so the first output is exactly 1 everywhere.
+    input_mode "channel_mean" feeds the conv the channel mean [N, 1, T]
+    in place of the full descriptor. The attributes conv and bias are the
+    conv's live parameter arrays.
+    """
+
+    def __init__(self, t: int, c: int, g: int, rng: Rng, input_mode: str = "descriptor"):
+        if input_mode not in nets.WEIGHTNET_INPUTS:
+            raise ShapeError(f"unknown weightnet input mode {input_mode!r}")
+        self.t, self.c = t, c
+        mean = input_mode == "channel_mean"
+        conv = Conv1d(1 if mean else c, g, rng.child("conv"), "conv", scale=0.0)
+        super().__init__(([ChannelMean()] if mean else []) + [conv, Sigmoid(2.0)])
+        self.conv, self.bias = conv.w, conv.b
+
+
+class TinBlock(Layer):
+    """Pool -> offset net -> rescale, pool -> weight net, then interlace.
+
+    A single clip [T, C, H, W] runs as a batch of one; its tape holds the
+    offsets [1, G] and weights [1, G, T].
+    """
+
+    def __init__(self, cfg: InterlaceConfig, rng: Rng, name: str = "tin",
+                 weightnet_input: str = "descriptor"):
+        self.name = name
+        self.cfg = cfg
+        self.onet = OffsetNet(cfg.t, cfg.c, cfg.g, rng.child("offsetnet"))
+        self.wnet = WeightNet(cfg.t, cfg.c, cfg.g, rng.child("weightnet"), weightnet_input)
+
+    def named_params(self):
+        out = {f"onet.{k}": v for k, v in self.onet.named_params().items()}
+        out.update({f"wnet.{k}": v for k, v in self.wnet.named_params().items()})
+        return out
+
+    def forward(self, u):
+        batched = u.ndim == 5
+        ub = u if batched else u[None]
+        z = nets.pool_descriptor(ub)
+        raw, otape = nets.offsetnet_forward(z, self.onet)
+        offsets = nets.rescale_offsets(raw, self.cfg.t, self.cfg.mirror)
+        weights, wtape = nets.weightnet_forward(z, self.wnet)
+        v, itape = interlace_forward(ub, offsets, weights, self.cfg)
+        tape = {"itape": itape, "otape": otape, "wtape": wtape, "offsets": offsets,
+                "weights": weights, "hw": u.shape[-2:], "batched": batched}
+        return (v if batched else v[0]), tape
+
+    def backward(self, grad_v, tape):
+        batched = tape["batched"]
+        grad_u, grad_off, grad_w = interlace_backward(grad_v if batched else grad_v[None],
+                                                      tape["itape"])
+        ograds, wgrads, grad_z = nets.nets_backward(
+            grad_off, grad_w, tape["otape"], tape["wtape"], self.onet, self.wnet, self.cfg.mirror)
+        h, w = tape["hw"]
+        grad_u = grad_u + nets.pool_descriptor_vjp(grad_z, h, w)
+        grads = {f"onet.{k}": v for k, v in ograds.items()}
+        grads.update({f"wnet.{k}": v for k, v in wgrads.items()})
+        return (grad_u if batched else grad_u[0]), grads
+
+
 def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
                  temporal: str = "tin", cfg: InterlaceConfig | None = None,
                  weightnet_input: str = "descriptor", head_scale: float = 0.1,
-                 pool: str = "max") -> ToyNet:
+                 pool: str = "max") -> Chain:
     """Per-frame conv net with one optional temporal-mixing layer.
 
     temporal selects the layer under test: "tin" (interlace block), "tcn"
@@ -294,7 +398,7 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
         TemporalMean(),
         Linear(hidden, k_classes, rng.child("head"), "head", scale=head_scale),
     ]
-    return ToyNet(layers)
+    return Chain(layers)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):

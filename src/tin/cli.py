@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every backward pass")
     common(p)
-    p.add_argument("--all", action="store_true", help="accepted for clarity; the full registry always runs")
+    p.add_argument("--all", action="store_true",
+                   help="accepted for clarity; the full registry always runs")
     p.add_argument("--max-coords", type=int, default=256, dest="max_coords")
 
     p = sub.add_parser("train", help="train a toy net on a synthetic temporal task")
@@ -309,8 +310,8 @@ def cmd_demo(args) -> int:
         f = o - n0
         lines.append(f"group {gi}: offset {o:+.2f} -> taps @{n0:+d}:{1 - f:.3f} @{n0 + 1:+d}:{f:.3f}"
                      + ("  (pass-through)" if o == 0 else ""))
-        lines.append(f"  equivalent kernel row (frame 0): "
-                     f"{{{n0:+d}: {kernel.values[gi, 0, 0]:.3f}, {n0 + 1:+d}: {kernel.values[gi, 0, 1]:.3f}}}")
+        lines.append(f"  equivalent kernel row (frame 0): {{{n0:+d}: {kernel.values[gi, 0, 0]:.3f}, "
+                     f"{n0 + 1:+d}: {kernel.values[gi, 0, 1]:.3f}}}")
     lines.append("per-frame channel means of the output:")
     lines.append(_grid(v.mean(axis=(2, 3)).T))
     lines.append(f"max |operator - 2-tap convolution| = {report.max_abs_diff:.3e} "

@@ -10,9 +10,12 @@ reported rather than silently passed. Relative error is
 standard_checks() is the registry of every differentiable operation in
 the package, shared by the test suite and the CLI. layer_check() builds
 an entry for anything with forward, backward and named_params; it checks
-each per-frame layer on its own (layer.pointwise_conv2d, layer.relu,
-layer.temporal_conv, layer.spatial_pool.max and .mean, layer.temporal_mean,
-layer.linear), the block (tin_block) and a toy net (toy_net.end_to_end).
+the layers of the generator nets (conv1d.single_out, conv1d.multi_out, fc,
+sigmoid), both nets (offsetnet.params, weightnet.params and
+weightnet.channel_mean), each per-frame layer on its own
+(layer.pointwise_conv2d, layer.relu, layer.temporal_conv,
+layer.spatial_pool.max and .mean, layer.temporal_mean, layer.linear), the
+block (tin_block) and a toy net (toy_net.end_to_end).
 """
 
 from __future__ import annotations
@@ -253,32 +256,6 @@ def standard_checks(seed: int = 0) -> list:
         lambda p, cot: {"u": nets.pool_descriptor_vjp(cot, p["u"].shape[-2], p["u"].shape[-1])},
         {"u": rng.child("pool").uniform([5, 3, 4, 4], -1.0, 1.0)}, None, TOL))
 
-    # conv1d, C -> 1 (no bias) and C -> G (bias); the tape is the windows
-    z0 = rng.child("c1_z").uniform([2, 5, 7], -1.0, 1.0)
-    c1 = {"z": z0.copy(), "kern": rng.child("c1_k").uniform([1, 5, 3], -1.0, 1.0)}
-    checks.append(_entry("conv1d.single_out", c1, lambda: nets.conv1d_forward(c1["z"], c1["kern"]),
-                         lambda cot, win: dict(zip(c1, nets.conv1d_vjp(cot, win, c1["kern"], False)))))
-    cg = {"z": z0.copy(), "kern": rng.child("cg_k").uniform([4, 5, 3], -1.0, 1.0),
-          "bias": rng.child("cg_b").uniform([4], -1.0, 1.0)}
-    checks.append(_entry("conv1d.multi_out", cg,
-                         lambda: nets.conv1d_forward(cg["z"], cg["kern"], cg["bias"]),
-                         lambda cot, win: dict(zip(cg, nets.conv1d_vjp(cot, win, cg["kern"], True)))))
-
-    # fully connected
-    fc = {"x": rng.child("fc_x").uniform([3, 6], -1.0, 1.0),
-          "w": rng.child("fc_w").uniform([4, 6], -1.0, 1.0),
-          "b": rng.child("fc_b").uniform([4], -1.0, 1.0)}
-    checks.append(_entry("fc", fc, lambda: (nets.fc_forward(fc["x"], fc["w"], fc["b"]), None),
-                         lambda cot, _: dict(zip(fc, nets.fc_vjp(cot, fc["x"], fc["w"])))))
-
-    # sigmoid (kept unsaturated so differences stay meaningful)
-    xs = rng.child("sig").uniform([4, 5], -3.5, 3.5)
-    checks.append((
-        "sigmoid",
-        lambda p: nets.sigmoid(p["x"]),
-        lambda p, cot: {"x": nets.sigmoid_vjp(cot, nets.sigmoid(p["x"]))},
-        {"x": xs}, None, TOL))
-
     # offset rescale, plain and mirrored
     raw0 = rng.child("rs").uniform([4], 0.05, 0.95)
     checks.append((
@@ -292,22 +269,6 @@ def standard_checks(seed: int = 0) -> list:
         lambda p, cot: {"raw": nets.rescale_offsets_vjp(cot, 8, True)},
         {"raw": raw0}, None, TOL))
 
-    # offset net and weight net end to end on their own parameters
-    zo = rng.child("onet_z").uniform([2, 5, 7], -1.0, 1.0)
-    onet = nets.OffsetNetParams(7, 5, 2, rng.child("onet"))
-    onet.fc2_w[:] = rng.child("onet_w2").uniform([2, 7], -0.5, 0.5)
-    onet.fc2_b[:] = rng.child("onet_b2").uniform([2], -0.5, 0.5)
-    checks.append(_entry("offsetnet.params", onet.named_params(),
-                         lambda: nets.offsetnet_forward(zo, onet),
-                         lambda cot, tape: nets.offsetnet_vjp(cot, tape, onet)[0]))
-
-    wnet = nets.WeightNetParams(7, 5, 3, rng.child("wnet"))
-    wnet.conv[:] = rng.child("wnet_k").uniform([3, 5, 3], -0.5, 0.5)
-    wnet.bias[:] = rng.child("wnet_b").uniform([3], -0.5, 0.5)
-    checks.append(_entry("weightnet.params", wnet.named_params(),
-                         lambda: nets.weightnet_forward(zo, wnet),
-                         lambda cot, tape: nets.weightnet_vjp(cot, tape, wnet)[0]))
-
     # classification loss
     lg = rng.child("ce_x").uniform([3, 4], -2.0, 2.0)
     labels = np.array([0, 2, 3])
@@ -316,6 +277,35 @@ def standard_checks(seed: int = 0) -> list:
         lambda p: np.array([blocks.cross_entropy(p["logits"], labels)[0]]),
         lambda p, cot: {"logits": float(cot[0]) * blocks.cross_entropy(p["logits"], labels)[1]},
         {"logits": lg}, None, TOL))
+
+    # the layers of the generator nets: conv over time C -> 1 (no bias) and
+    # C -> G (bias), fully connected, sigmoid (kept unsaturated so
+    # differences stay meaningful)
+    z0 = rng.child("c1_z").uniform([2, 5, 7], -1.0, 1.0)
+    checks.append(layer_check("conv1d.single_out", blocks.Conv1d(
+        5, 1, rng.child("c1_k"), "conv", bias=False, scale=1.0), z0))
+    conv = blocks.Conv1d(5, 4, rng.child("cg_k"), "conv", scale=1.0)
+    conv.b[:] = rng.child("cg_b").uniform([4], -1.0, 1.0)
+    checks.append(layer_check("conv1d.multi_out", conv, z0))
+    fc = blocks.Linear(6, 4, rng.child("fc_w"), "fc", scale=1.0)
+    fc.b[:] = rng.child("fc_b").uniform([4], -1.0, 1.0)
+    checks.append(layer_check("fc", fc, rng.child("fc_x").uniform([3, 6], -1.0, 1.0)))
+    checks.append(layer_check("sigmoid", blocks.Sigmoid(), rng.child("sig").uniform([4, 5], -3.5, 3.5)))
+
+    # offset net and weight net end to end, parameters nudged off their zero init
+    zo = rng.child("onet_z").uniform([2, 5, 7], -1.0, 1.0)
+    onet = blocks.OffsetNet(7, 5, 2, rng.child("onet"))
+    onet.fc2_w[:] = rng.child("onet_w2").uniform([2, 7], -0.5, 0.5)
+    onet.fc2_b[:] = rng.child("onet_b2").uniform([2], -0.5, 0.5)
+    checks.append(layer_check("offsetnet.params", onet, zo))
+    # the channel mean divides the input gradient by C; a wider kernel keeps
+    # it further above the rounding noise of the differences
+    for name, mode, tag, k in (("weightnet.params", "descriptor", "wnet", 0.5),
+                               ("weightnet.channel_mean", "channel_mean", "wnet_cm", 1.5)):
+        wnet = blocks.WeightNet(7, 5, 3, rng.child(tag), mode)
+        wnet.conv[:] = rng.child(f"{tag}_k").uniform(wnet.conv.shape, -k, k)
+        wnet.bias[:] = rng.child(f"{tag}_b").uniform([3], -0.5, 0.5)
+        checks.append(layer_check(name, wnet, zo))
 
     # every per-frame layer on its own, [N, T, C, H, W] -> ... -> [N, K]
     tconv = blocks.TemporalConv(4, "tconv")     # random taps: the identity init uses one tap only

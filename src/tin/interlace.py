@@ -213,7 +213,8 @@ def _batchify(u, offsets, weights, cfg: InterlaceConfig):
     elif u.ndim == 5:
         batched = True
         ub = u
-        if offsets.ndim != 2 or weights.ndim != 3 or offsets.shape[0] != u.shape[0] or weights.shape[0] != u.shape[0]:
+        if offsets.ndim != 2 or weights.ndim != 3 or offsets.shape[0] != u.shape[0] \
+                or weights.shape[0] != u.shape[0]:
             raise ShapeError("batched input needs offsets [N, G] and weights [N, G, T]")
         ob, wb = offsets, weights
     else:

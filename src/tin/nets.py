@@ -1,24 +1,20 @@
-"""Networks that produce the interlace offsets and attention weights.
+"""Pooling, sigmoid, rescale, and the boundary between a TinBlock and its nets.
 
-Global spatial pooling squeezes a feature map into a descriptor z of shape
-[C, T]. One small net maps z to a raw per-group value in (0, 1), rescaled
-to a fractional temporal offset in (-T/2, T/2); the other maps z to a
-per-group per-frame attention weight in (0, 2). Both nets have their final
-layer zero-initialized, so a freshly built block emits offsets of exactly
-0 and weights of exactly 1 and the whole operator starts as the identity.
-
-All forward passes accept a batched descriptor [N, C, T] (or a single
-[C, T]); every backward pass is hand-derived.
+Global spatial pooling squeezes a feature map into a descriptor z, [C, T]
+or [N, C, T]. The offset net (blocks.OffsetNet) maps a batch of
+descriptors to raw per-group values in (0, 1), which rescale_offsets turns
+into fractional temporal offsets in (-T/2, T/2); the weight net
+(blocks.WeightNet) maps it to per-group per-frame weights in (0, 2). Both
+are layer chains whose last layer starts at zero, so a fresh block emits
+offsets of exactly 0 and weights of exactly 1: the identity.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import Rng, assert_finite
+from .tensors import assert_finite
 
 WEIGHTNET_INPUTS = ("descriptor", "channel_mean")
 
@@ -49,78 +45,26 @@ def pool_descriptor_vjp(grad_z: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# primitive layers (batched [N, ...])
-
-def conv1d_forward(z: np.ndarray, kern: np.ndarray, bias: np.ndarray | None = None):
-    """Temporal conv with kernel size 3 and zero "same" padding.
-
-    z: [N, Cin, T]; kern: [Cout, Cin, 3]; returns (out [N, Cout, T], windows)
-    where windows are the padded input views saved for the backward pass.
-    """
-    n, cin, t = z.shape
-    if kern.ndim != 3 or kern.shape[1] != cin or kern.shape[2] != 3:
-        raise ShapeError(f"conv kernel {kern.shape} incompatible with input {z.shape}")
-    zp = np.zeros((n, cin, t + 2), dtype=z.dtype)
-    zp[:, :, 1:-1] = z
-    windows = np.stack([zp[:, :, k:k + t] for k in range(3)], axis=-1)  # [N, Cin, T, 3]
-    out = np.einsum("nctk,gck->ngt", windows, kern)
-    if bias is not None:
-        out += bias[None, :, None]
-    return out, windows
-
-
-def conv1d_vjp(grad_out: np.ndarray, windows: np.ndarray, kern: np.ndarray, with_bias: bool):
-    """Returns (grad_z, grad_kern, grad_bias)."""
-    t = grad_out.shape[-1]
-    grad_kern = np.einsum("ngt,nctk->gck", grad_out, windows)
-    grad_bias = grad_out.sum(axis=(0, 2)) if with_bias else None
-    n, cin = windows.shape[:2]
-    grad_zp = np.zeros((n, cin, t + 2), dtype=grad_out.dtype)
-    for k in range(3):
-        grad_zp[:, :, k:k + t] += np.einsum("ngt,gc->nct", grad_out, kern[:, :, k])
-    return grad_zp[:, :, 1:-1], grad_kern, grad_bias
-
-
-def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x: [N, In]; w: [Out, In]; b: [Out]."""
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"fc input {x.shape} incompatible with weight {w.shape}")
-    return x @ w.T + b[None, :]
-
-
-def fc_vjp(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray):
-    return grad_out @ w, grad_out.T @ x, grad_out.sum(axis=0)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_vjp(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0.0, grad_out, 0.0)
-
-
-_SIG_LO = 2.0 ** -53
-_SIG_HI = np.nextafter(1.0, 0.0)
-
+# sigmoid and rescale
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid, clamped into the OPEN unit interval.
 
     Saturated preactivations would otherwise round to exactly 0 or 1 and
-    break the strict range contracts of the offsets and weights; the
-    lower clamp is big enough that (sigmoid(x) - 0.5) * T stays strictly
-    above -T/2 after rounding.
+    break the strict range contracts of the offsets and weights. A float
+    input keeps its dtype, any other input gives float64. The clamp is
+    [epsneg, 1 - epsneg] of that dtype, big enough that (sigmoid(x) - 0.5) * T
+    stays strictly inside (-T/2, T/2) after rounding.
     """
-    out = np.empty_like(x, dtype=np.float64)
+    x = np.asarray(x)
+    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+    out = np.empty(x.shape, dtype=dtype)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIG_LO, _SIG_HI)
-
-def sigmoid_vjp(grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return grad_out * out * (1.0 - out)
+    eps = np.finfo(dtype).epsneg
+    return np.clip(out, eps, 1.0 - eps)
 
 
 def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
@@ -152,123 +96,30 @@ def rescale_offsets_vjp(grad_off: np.ndarray, t: int, mirror: bool) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# the generator nets, batched
 
-def _uniform_fan_in(rng: Rng, shape, fan_in: int) -> np.ndarray:
-    k = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(shape, -k, k)
-
-
-class OffsetNetParams:
-    """conv1d (C -> 1) over time, then T->T and T->G fully connected layers.
-
-    The final layer is zero-initialized (weight and bias) so the raw
-    output is exactly sigmoid(0) = 0.5 per group, i.e. an offset of 0.
-    """
-
-    def __init__(self, t: int, c: int, g: int, rng: Rng):
-        self.t, self.c, self.g = t, c, g
-        self.conv = _uniform_fan_in(rng.child("conv"), [1, c, 3], 3 * c)
-        self.fc1_w = _uniform_fan_in(rng.child("fc1"), [t, t], t)
-        self.fc1_b = np.zeros(t)
-        self.fc2_w = np.zeros((g, t))
-        self.fc2_b = np.zeros(g)
-
-    def named_params(self) -> dict:
-        return {"conv": self.conv, "fc1_w": self.fc1_w, "fc1_b": self.fc1_b,
-                "fc2_w": self.fc2_w, "fc2_b": self.fc2_b}
-
-
-class WeightNetParams:
-    """One temporal conv (kernel 3, G output channels) plus sigmoid x2.
-
-    Kernel and bias start at zero, so the initial output is exactly 1
-    everywhere. input_mode selects what the conv consumes: the full
-    descriptor [C, T] or its channel mean [1, T].
-    """
-
-    def __init__(self, t: int, c: int, g: int, rng: Rng, input_mode: str = "descriptor"):
-        if input_mode not in WEIGHTNET_INPUTS:
-            raise ShapeError(f"unknown weightnet input mode {input_mode!r}")
-        self.t, self.c, self.g = t, c, g
-        self.input_mode = input_mode
-        cin = c if input_mode == "descriptor" else 1
-        self.conv = np.zeros((g, cin, 3))
-        self.bias = np.zeros(g)
-
-    def named_params(self) -> dict:
-        return {"conv": self.conv, "bias": self.bias}
-
-
-# ---------------------------------------------------------------------------
-# forward / backward
-
-def _as_batch(z: np.ndarray):
+def _descriptor(z: np.ndarray, net) -> np.ndarray:
     z = np.asarray(z)
-    if z.ndim == 2:
-        return z[None], False
-    if z.ndim == 3:
-        return z, True
-    raise ShapeError(f"descriptor must be [C, T] or [N, C, T], got {z.shape}")
+    if z.ndim != 3 or z.shape[1:] != (net.c, net.t):
+        raise ShapeError(f"descriptor {z.shape} does not match the net's [N, C={net.c}, T={net.t}]")
+    return z
 
 
-def offsetnet_forward(z: np.ndarray, p: OffsetNetParams):
-    """Returns (raw offsets in (0, 1), tape). raw is [G] or [N, G]."""
-    zb, batched = _as_batch(z)
-    if zb.shape[1:] != (p.c, p.t):
-        raise ShapeError(f"descriptor {zb.shape[1:]} does not match params [C={p.c}, T={p.t}]")
-    s, windows = conv1d_forward(zb, p.conv, None)
-    s = s[:, 0, :]
-    h_pre = fc_forward(s, p.fc1_w, p.fc1_b)
-    h = relu(h_pre)
-    r_pre = fc_forward(h, p.fc2_w, p.fc2_b)
-    raw = sigmoid(r_pre)
-    tape = {"windows": windows, "s": s, "h_pre": h_pre, "h": h, "raw": raw, "batched": batched}
-    return (raw if batched else raw[0]), tape
+def offsetnet_forward(z: np.ndarray, net):
+    """Returns (raw offsets in (0, 1) shaped [N, G], tape) for z [N, C, T]."""
+    return net.forward(_descriptor(z, net))
 
 
-def offsetnet_vjp(grad_raw: np.ndarray, tape: dict, p: OffsetNetParams):
-    """Returns (param grads keyed like named_params, grad_z)."""
-    grad_raw = np.asarray(grad_raw)
-    gb = grad_raw if tape["batched"] else grad_raw[None]
-    g_rpre = sigmoid_vjp(gb, tape["raw"])
-    g_h, g_fc2w, g_fc2b = fc_vjp(g_rpre, tape["h"], p.fc2_w)
-    g_hpre = relu_vjp(g_h, tape["h_pre"])
-    g_s, g_fc1w, g_fc1b = fc_vjp(g_hpre, tape["s"], p.fc1_w)
-    grad_z, g_conv, _ = conv1d_vjp(g_s[:, None, :], tape["windows"], p.conv, with_bias=False)
-    grads = {"conv": g_conv, "fc1_w": g_fc1w, "fc1_b": g_fc1b, "fc2_w": g_fc2w, "fc2_b": g_fc2b}
-    return grads, (grad_z if tape["batched"] else grad_z[0])
+def weightnet_forward(z: np.ndarray, net):
+    """Returns (weights in (0, 2) shaped [N, G, T], tape) for z [N, C, T]."""
+    return net.forward(_descriptor(z, net))
 
 
-def weightnet_forward(z: np.ndarray, p: WeightNetParams):
-    """Returns (weights in (0, 2) shaped [G, T] or [N, G, T], tape)."""
-    zb, batched = _as_batch(z)
-    if zb.shape[1:] != (p.c, p.t):
-        raise ShapeError(f"descriptor {zb.shape[1:]} does not match params [C={p.c}, T={p.t}]")
-    x = zb.mean(axis=1, keepdims=True) if p.input_mode == "channel_mean" else zb
-    pre, windows = conv1d_forward(x, p.conv, p.bias)
-    weights = 2.0 * sigmoid(pre)
-    tape = {"windows": windows, "sig": weights / 2.0, "batched": batched}
-    return (weights if batched else weights[0]), tape
-
-
-def weightnet_vjp(grad_w: np.ndarray, tape: dict, p: WeightNetParams):
-    grad_w = np.asarray(grad_w)
-    gb = grad_w if tape["batched"] else grad_w[None]
-    g_pre = sigmoid_vjp(2.0 * gb, tape["sig"])
-    g_x, g_conv, g_bias = conv1d_vjp(g_pre, tape["windows"], p.conv, with_bias=True)
-    if p.input_mode == "channel_mean":
-        g_x = np.broadcast_to(g_x / p.c, (g_x.shape[0], p.c, p.t)).copy()
-    grads = {"conv": g_conv, "bias": g_bias}
-    return grads, (g_x if tape["batched"] else g_x[0])
-
-
-def nets_backward(grad_offsets, grad_weights, otape, wtape, op: OffsetNetParams, wp: WeightNetParams,
-                  mirror: bool):
+def nets_backward(grad_offsets, grad_weights, otape, wtape, onet, wnet, mirror: bool):
     """Chain rule through rescale and both nets; grad_z sums both branches."""
-    grad_raw = rescale_offsets_vjp(np.asarray(grad_offsets), op.t, mirror)
-    ograds, gz_o = offsetnet_vjp(grad_raw, otape, op)
-    wgrads, gz_w = weightnet_vjp(np.asarray(grad_weights), wtape, wp)
+    grad_raw = rescale_offsets_vjp(grad_offsets, onet.t, mirror)
+    gz_o, ograds = onet.backward(grad_raw, otape)
+    gz_w, wgrads = wnet.backward(grad_weights, wtape)
     for v in list(ograds.values()) + list(wgrads.values()):
         assert_finite(v, "net parameter gradient")
     return ograds, wgrads, gz_o + gz_w

@@ -10,7 +10,6 @@ this module; mismatches are hard errors.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 
 import numpy as np
@@ -151,30 +150,3 @@ def load_tensor(path) -> np.ndarray:
         raise ShapeError(f"{path}: a tensor shaped {shape} takes {size} bytes, the file has {len(blob)}")
     return np.frombuffer(blob, dtype="<f8", offset=8 * (1 + rank)).reshape(shape).astype(np.float64)
 
-
-def save_checkpoint(directory, params: dict) -> None:
-    """One tensor file per named parameter plus a plain-text manifest."""
-    os.makedirs(directory, exist_ok=True)
-    lines = []
-    for name in sorted(params):
-        arr = np.asarray(params[name])
-        save_tensor(os.path.join(directory, name + ".tnsr"), arr)
-        lines.append(f"{name} = {','.join(str(e) for e in arr.shape)}\n")
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.writelines(lines)
-
-
-def load_checkpoint(directory) -> dict:
-    params = {}
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, _, shape_s = line.partition(" = ")
-            arr = load_tensor(os.path.join(directory, name + ".tnsr"))
-            want = tuple(int(e) for e in shape_s.split(",")) if shape_s else ()
-            if arr.shape != want:
-                raise ShapeError(f"checkpoint {name}: file shape {arr.shape} != manifest {want}")
-            params[name] = arr
-    return params

@@ -83,8 +83,7 @@ def _sgd_step(params: dict, grads: dict, velocity: dict, lr: float, momentum: fl
               weight_decay: float) -> None:
     for name, p in params.items():
         g = grads[name]
-        if weight_decay and not name.endswith(".b") and not name.endswith("_b") \
-                and not name.endswith("bias"):
+        if weight_decay and not name.endswith(".b"):
             g = g + weight_decay * p
         v = velocity.get(name)
         v = g if v is None else momentum * v + g
@@ -92,21 +91,17 @@ def _sgd_step(params: dict, grads: dict, velocity: dict, lr: float, momentum: fl
         p -= lr * v
 
 
-def _tin_stats(net: blocks.ToyNet, tapes) -> tuple:
+def _tin_stats(net: blocks.Chain, tapes) -> tuple:
     """Mean offsets per (layer, group) and mean weights per (layer, frame)."""
     offs, wgts = [], []
     for layer, tape in zip(net.layers, tapes):
         if isinstance(layer, blocks.TinBlock):
-            o = np.asarray(tape["offsets"])
-            w = np.asarray(tape["weights"])
-            if o.ndim == 1:
-                o, w = o[None], w[None]
-            offs.append(o.mean(axis=0).tolist())
-            wgts.append(w.mean(axis=(0, 1)).tolist())
+            offs.append(tape["offsets"].mean(axis=0).tolist())
+            wgts.append(tape["weights"].mean(axis=(0, 1)).tolist())
     return offs, wgts
 
 
-def evaluate(net: blocks.ToyNet, clips: np.ndarray, labels: np.ndarray,
+def evaluate(net: blocks.Chain, clips: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple:
     total_loss, correct = 0.0, 0
     n = clips.shape[0]
@@ -119,7 +114,7 @@ def evaluate(net: blocks.ToyNet, clips: np.ndarray, labels: np.ndarray,
     return total_loss / n, correct / n
 
 
-def train(net: blocks.ToyNet, train_data: Dataset, val_data: Dataset,
+def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig) -> RunRecord:
     """Full training loop; raises NonFiniteError if the loss diverges."""
     params = net.named_params()
@@ -195,7 +190,7 @@ def log_trajectories(record: RunRecord, path) -> None:
 def build_net(task_spec: SynthTask, temporal: str, seed: int, hidden: int = 16,
               learned_groups: int = 2, mirror: bool = True, shift_fraction: float = 0.25,
               weightnet_input: str = "descriptor",
-              weight_all_channels: bool = False) -> blocks.ToyNet:
+              weight_all_channels: bool = False) -> blocks.Chain:
     """Toy net for a task; `learned_groups` counts non-mirrored groups only."""
     rng = Rng(seed).child("net")
     cfg = None

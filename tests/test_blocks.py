@@ -5,7 +5,7 @@ import pytest
 
 from tin import blocks
 from tin.blocks import (Linear, PointwiseConv2d, ReLU, SpatialPool, TemporalConv,
-                        TemporalMean, TinBlock, ToyNet, cross_entropy, make_toy_net)
+                        TemporalMean, TinBlock, Chain, cross_entropy, make_toy_net)
 from tin.errors import ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
 from tin.tensors import Rng
@@ -40,8 +40,8 @@ def test_block_frozen_nets_reduce_to_temporal_sample():
     block.onet.fc2_b[:] = math.log(raw / (1 - raw))
     u = Rng(4).uniform([8, 4, 3, 3], -1.0, 1.0)
     v, tape = block.forward(u)
-    assert abs(tape["offsets"][0] - 1.3) < 1e-12
-    assert np.max(np.abs(v - temporal_sample(u, tape["offsets"][0]))) < 1e-12
+    assert abs(tape["offsets"][0, 0] - 1.3) < 1e-12
+    assert np.max(np.abs(v - temporal_sample(u, tape["offsets"][0, 0]))) < 1e-12
 
 
 def test_block_backward_zero_grad():
@@ -50,25 +50,6 @@ def test_block_backward_zero_grad():
     v, tape = block.forward(u)
     gu, grads = block.backward(np.zeros_like(v), tape)
     assert not gu.any()
-    assert all(not g.any() for g in grads.values())
-
-
-def test_block_detached_offsets_match_interlace_only_grad():
-    cfg = InterlaceConfig(t=8, c=16)
-    rng = Rng(6)
-    block = TinBlock(cfg, rng.child("b"))
-    block.onet.fc2_b[:2] = np.array([0.2, -0.3])  # fractional offsets (mirrored half unused)
-    u = rng.child("u").uniform([8, 16, 3, 3], -1.0, 1.0)
-    grad_v = rng.child("g").uniform([8, 16, 3, 3], -1.0, 1.0)
-
-    v, tape = block.forward(u)
-    from tin.interlace import interlace_backward
-    gu_ref, _, _ = interlace_backward(grad_v, tape["itape"])
-
-    block.detach_offsets = True
-    v2, tape2 = block.forward(u)
-    gu, grads = block.backward(grad_v, tape2)
-    assert np.array_equal(gu, gu_ref)
     assert all(not g.any() for g in grads.values())
 
 
@@ -161,7 +142,7 @@ def test_toy_net_removing_block_keeps_shapes_valid():
 
 def test_toy_net_rejects_duplicate_layer_names():
     with pytest.raises(ShapeError):
-        ToyNet([ReLU("a"), ReLU("a")])
+        Chain([ReLU("a"), ReLU("a")])
 
 
 def test_cross_entropy_uniform_logits():
@@ -189,17 +170,6 @@ def test_offset_gradient_nonzero_on_ordered_data():
     logits, tapes = net.forward(tr.clips[:32])
     loss, gl, _ = cross_entropy(logits, tr.labels[:32])
     _, grads = net.backward(gl, tapes)
-    assert np.any(grads["tin.onet.fc2_b"] != 0.0)
-    assert np.any(grads["tin.onet.fc2_w"] != 0.0)
+    assert np.any(grads["tin.onet.fc2.b"] != 0.0)
+    assert np.any(grads["tin.onet.fc2.w"] != 0.0)
 
-
-def test_checkpoint_round_trip_through_tensor_files(tmp_path):
-    from tin.tensors import load_checkpoint, save_checkpoint
-
-    net = make_toy_net(8, 1, 2, Rng(19), hidden=16)
-    params = net.named_params()
-    save_checkpoint(tmp_path / "net", params)
-    loaded = load_checkpoint(tmp_path / "net")
-    assert set(loaded) == set(params)
-    for k, v in params.items():
-        assert np.array_equal(loaded[k], v)

@@ -76,7 +76,8 @@ def test_registry_covers_every_operator():
     for expected in ("temporal_sample.input", "temporal_sample.offset", "interlace",
                      "pool_descriptor", "conv1d.single_out", "conv1d.multi_out", "fc",
                      "sigmoid", "rescale_offsets", "rescale_offsets.mirror",
-                     "offsetnet.params", "weightnet.params", "cross_entropy",
+                     "offsetnet.params", "weightnet.params", "weightnet.channel_mean",
+                     "cross_entropy",
                      "tin_block", "toy_net.end_to_end", "layer.pointwise_conv2d",
                      "layer.relu", "layer.temporal_conv", "layer.spatial_pool.max",
                      "layer.spatial_pool.mean", "layer.temporal_mean", "layer.linear"):
@@ -129,6 +130,15 @@ def test_full_registry_passes():
     assert not failures, failures
     # the deliberate integer-offset case is reported as a kink, not a pass
     assert len(reports["temporal_sample.offset_at_integer_kink"].kinks) == 1
+
+
+def test_weightnet_channel_mean_entry_passes_at_seeds_0_to_59():
+    # the only entry whose backward runs through the channel mean
+    for seed in range(60):
+        for name, fwd, vjp, point, kink_dist, tol in standard_checks(seed):
+            if name == "weightnet.channel_mean":
+                rep = check(fwd, vjp, point, tol=tol, rng=Rng(seed ^ 0x5EED), kink_dist=kink_dist)
+                assert rep.passed, (seed, rep.to_dict())
 
 
 def test_report_serializes():

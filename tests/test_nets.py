@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tin import nets
+from tin.blocks import OffsetNet, ReLU, WeightNet
 from tin.errors import ShapeError
-from tin.nets import (OffsetNetParams, WeightNetParams, offsetnet_forward,
-                      pool_descriptor, pool_descriptor_vjp, rescale_offsets,
+from tin.nets import (offsetnet_forward, pool_descriptor, pool_descriptor_vjp, rescale_offsets,
                       rescale_offsets_vjp, weightnet_forward)
 from tin.tensors import Rng
 
@@ -65,29 +65,29 @@ def test_pool_invariant_to_spatial_permutation():
 # offset net
 
 def test_offsetnet_initial_raw_is_half():
-    p = OffsetNetParams(8, 16, 4, Rng(5))
-    z = Rng(6).uniform([16, 8], -3.0, 3.0)
+    p = OffsetNet(8, 16, 4, Rng(5))
+    z = Rng(6).uniform([3, 16, 8], -3.0, 3.0)
     raw, _ = offsetnet_forward(z, p)
     assert np.all(raw == 0.5)
 
 
 def test_offsetnet_output_strictly_inside_unit_interval():
     rng = Rng(7)
-    p = OffsetNetParams(8, 16, 4, rng)
+    p = OffsetNet(8, 16, 4, rng)
     p.fc2_w[:] = rng.child("w2").uniform([4, 8], -2.0, 2.0)
     for i in range(10):
-        z = rng.child(f"z{i}").uniform([16, 8], -5.0, 5.0)
+        z = rng.child(f"z{i}").uniform([1, 16, 8], -5.0, 5.0)
         raw, _ = offsetnet_forward(z, p)
         assert np.all(raw > 0.0) and np.all(raw < 1.0)
 
 
 def test_offsetnet_matches_straight_line_recomputation():
     rng = Rng(8)
-    p = OffsetNetParams(6, 5, 3, rng)
+    p = OffsetNet(6, 5, 3, rng)
     p.fc2_w[:] = rng.child("w2").uniform([3, 6], -1.0, 1.0)
     p.fc2_b[:] = rng.child("b2").uniform([3], -1.0, 1.0)
     z = rng.child("z").uniform([5, 6], -1.0, 1.0)
-    raw, _ = offsetnet_forward(z, p)
+    (raw,), _ = offsetnet_forward(z[None], p)
 
     zp = np.zeros((5, 8))
     zp[:, 1:-1] = z
@@ -103,11 +103,11 @@ def test_offsetnet_matches_straight_line_recomputation():
 
 def test_offsetnet_invariant_to_spatial_permutation_of_input():
     rng = Rng(9)
-    p = OffsetNetParams(4, 3, 2, rng)
+    p = OffsetNet(4, 3, 2, rng)
     p.fc2_w[:] = rng.child("w2").uniform([2, 4], -1.0, 1.0)
-    u = np.round(rng.child("u").uniform([4, 3, 3, 3], 0.0, 9.0))
+    u = np.round(rng.child("u").uniform([1, 4, 3, 3, 3], 0.0, 9.0))
     perm = rng.child("perm").permutation(9)
-    u_perm = u.reshape(4, 3, 9)[:, :, perm].reshape(4, 3, 3, 3)
+    u_perm = u.reshape(1, 4, 3, 9)[..., perm].reshape(1, 4, 3, 3, 3)
     a, _ = offsetnet_forward(pool_descriptor(u), p)
     b, _ = offsetnet_forward(pool_descriptor(u_perm), p)
     assert np.array_equal(a, b)
@@ -163,30 +163,30 @@ def test_rescale_vjp_plain_and_mirror():
 # weight net
 
 def test_weightnet_initial_output_is_one():
-    p = WeightNetParams(8, 16, 4, Rng(12))
-    z = Rng(13).uniform([16, 8], -3.0, 3.0)
+    p = WeightNet(8, 16, 4, Rng(12))
+    z = Rng(13).uniform([3, 16, 8], -3.0, 3.0)
     w, _ = weightnet_forward(z, p)
     assert np.all(w == 1.0)
 
 
 def test_weightnet_range():
     rng = Rng(14)
-    p = WeightNetParams(8, 16, 4, rng)
+    p = WeightNet(8, 16, 4, rng)
     p.conv[:] = rng.child("k").uniform(p.conv.shape, -2.0, 2.0)
     p.bias[:] = rng.child("b").uniform([4], -2.0, 2.0)
     for i in range(10):
-        z = rng.child(f"z{i}").uniform([16, 8], -5.0, 5.0)
+        z = rng.child(f"z{i}").uniform([1, 16, 8], -5.0, 5.0)
         w, _ = weightnet_forward(z, p)
         assert np.all(w > 0.0) and np.all(w < 2.0)
 
 
 def test_weightnet_matches_loop_conv_oracle():
     rng = Rng(15)
-    p = WeightNetParams(6, 4, 3, rng)
+    p = WeightNet(6, 4, 3, rng)
     p.conv[:] = rng.child("k").uniform([3, 4, 3], -1.0, 1.0)
     p.bias[:] = rng.child("b").uniform([3], -1.0, 1.0)
     z = rng.child("z").uniform([4, 6], -1.0, 1.0)
-    w, _ = weightnet_forward(z, p)
+    (w,), _ = weightnet_forward(z[None], p)
 
     zp = np.zeros((4, 8))
     zp[:, 1:-1] = z
@@ -201,26 +201,26 @@ def test_weightnet_matches_loop_conv_oracle():
 
 def test_weightnet_channel_mean_mode():
     rng = Rng(16)
-    p = WeightNetParams(6, 4, 2, rng, input_mode="channel_mean")
+    p = WeightNet(6, 4, 2, rng, input_mode="channel_mean")
     assert p.conv.shape == (2, 1, 3)
     p.conv[:] = rng.child("k").uniform([2, 1, 3], -1.0, 1.0)
-    z = rng.child("z").uniform([4, 6], -1.0, 1.0)
+    z = rng.child("z").uniform([1, 4, 6], -1.0, 1.0)
     w, _ = weightnet_forward(z, p)
-    zm = z.mean(axis=0, keepdims=True)
-    p2 = WeightNetParams(6, 1, 2, rng, input_mode="descriptor")
-    p2.conv, p2.bias = p.conv, p.bias
+    zm = z.mean(axis=1, keepdims=True)
+    p2 = WeightNet(6, 1, 2, rng, input_mode="descriptor")
+    p2.conv[:], p2.bias[:] = p.conv, p.bias
     w2, _ = weightnet_forward(zm, p2)
     assert np.max(np.abs(w - w2)) < 1e-15
 
 
 def test_nets_backward_zero_upstream_gives_zero_param_grads():
     rng = Rng(17)
-    op = OffsetNetParams(6, 4, 2, rng.child("o"))
-    wp = WeightNetParams(6, 4, 2, rng.child("w"))
-    z = rng.child("z").uniform([4, 6], -1.0, 1.0)
+    op = OffsetNet(6, 4, 2, rng.child("o"))
+    wp = WeightNet(6, 4, 2, rng.child("w"))
+    z = rng.child("z").uniform([1, 4, 6], -1.0, 1.0)
     _, otape = offsetnet_forward(z, op)
     _, wtape = weightnet_forward(z, wp)
-    ograds, wgrads, gz = nets.nets_backward(np.zeros(2), np.zeros((2, 6)),
+    ograds, wgrads, gz = nets.nets_backward(np.zeros((1, 2)), np.zeros((1, 2, 6)),
                                             otape, wtape, op, wp, mirror=False)
     assert all(not g.any() for g in ograds.values())
     assert all(not g.any() for g in wgrads.values())
@@ -229,7 +229,7 @@ def test_nets_backward_zero_upstream_gives_zero_param_grads():
 
 def test_relu_vjp_zeroes_negative_preactivations():
     pre = np.array([-1.0, 0.0, 2.0, -0.5])
-    g = nets.relu_vjp(np.ones(4), pre)
+    g, _ = ReLU().backward(np.ones(4), pre)
     assert np.array_equal(g, [0.0, 0.0, 1.0, 0.0])
 
 
@@ -239,3 +239,24 @@ def test_sigmoid_saturation_stays_inside_open_interval():
     assert np.all(np.isfinite(s))
     assert np.all(s > 0.0) and np.all(s < 1.0)
     assert s[2] == 0.5
+
+
+def test_sigmoid_keeps_float32_strictly_inside_the_open_intervals():
+    x = np.array([-800.0, 0.0, 800.0], dtype=np.float32)
+    s = nets.sigmoid(x)
+    assert s.dtype == np.float32
+    assert np.all(s > 0.0) and np.all(s < 1.0)
+    assert s[1] == 0.5
+    for t in (4, 7, 8, 16):
+        off = rescale_offsets(s, t, False)
+        assert off.dtype == np.float32
+        assert np.all(off > -t / 2) and np.all(off < t / 2)
+
+
+def test_descriptor_of_the_wrong_shape_is_rejected():
+    p = OffsetNet(6, 4, 2, Rng(18))
+    for shape in ([4, 6], [1, 4, 5], [1, 3, 6]):
+        with pytest.raises(ShapeError):
+            offsetnet_forward(np.zeros(shape), p)
+    with pytest.raises(ShapeError):
+        weightnet_forward(np.zeros([1, 4, 5]), WeightNet(6, 4, 2, Rng(19)))

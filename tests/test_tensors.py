@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tin.errors import NonFiniteError, ShapeError
-from tin.tensors import (Rng, assert_finite, flat_index, load_tensor, load_checkpoint,
-                         mean_over, multi_index, rand_uniform, save_checkpoint,
-                         save_tensor, zeros)
+from tin.tensors import (Rng, assert_finite, flat_index, load_tensor, mean_over, multi_index,
+                         rand_uniform, save_tensor, zeros)
 
 
 def test_zeros_basic():
@@ -162,11 +161,3 @@ def test_load_tensor_rejects_a_file_of_the_wrong_length(tmp_path, cut):
     with pytest.raises(ShapeError):
         load_tensor(path)
 
-
-def test_checkpoint_round_trip(tmp_path):
-    params = {"a.w": Rng(1).uniform([2, 3]), "b.bias": np.zeros(4)}
-    save_checkpoint(tmp_path / "ckpt", params)
-    loaded = load_checkpoint(tmp_path / "ckpt")
-    assert set(loaded) == set(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
