@@ -82,21 +82,27 @@ class PointwiseConv2d(Linear):
 
 
 class ReLU(Layer):
+    """max(x, 0). The tape is the output y, which is also the next layer's input."""
+
     def __init__(self, name: str = "relu"):
         self.name = name
 
     def forward(self, x):
-        return np.maximum(x, 0.0), x
+        y = np.maximum(x, 0.0)
+        return y, y
 
-    def backward(self, grad_y, x):
-        return np.where(x > 0.0, grad_y, 0.0), {}
+    def backward(self, grad_y, y):
+        return grad_y * (y > 0.0), {}
 
 
 class TemporalConv(Layer):
     """Trainable per-channel temporal convolution with zero padding.
 
     taps[c] holds the kernel over relative frames [-(k//2), ..., k//2].
-    Identity initialization (center tap 1) keeps insertion neutral.
+    Identity initialization (center tap 1) keeps insertion neutral. Channel
+    c is the T x T band B[c] = sum_j taps[c, j] * E[j - k//2], E[s][r, r + s] = 1,
+    rebuilt from the live taps on every call and applied by matmul on the
+    [N, C, T, H*W] view of x, as in interlace._band. The tape is the input x.
     """
 
     def __init__(self, c: int, name: str, k: int = 3):
@@ -110,25 +116,29 @@ class TemporalConv(Layer):
     def named_params(self):
         return {"taps": self.taps}
 
-    def forward(self, x):
-        n, t, c, h, w = x.shape
-        kh = self.k // 2
-        xp = np.zeros((n, t + 2 * kh, c, h, w), dtype=x.dtype)
-        xp[:, kh:kh + t] = x
-        y = np.zeros_like(x)
-        for j in range(self.k):
-            y += self.taps[None, None, :, j, None, None] * xp[:, j:j + t]
-        return y, xp
+    def _band(self, t: int):
+        """The band [C, T, T] and the shifts E [k, T, T] it sums."""
+        lag = np.arange(t)[None, :] - np.arange(t)[:, None]    # lag[r, s] = s - r
+        e = (lag == np.arange(self.k)[:, None, None] - self.k // 2).astype(self.taps.dtype)
+        return np.tensordot(self.taps, e, axes=1), e
 
-    def backward(self, grad_y, xp):
-        n, t = grad_y.shape[:2]
-        kh = self.k // 2
-        grad_taps = np.zeros_like(self.taps)
-        grad_xp = np.zeros_like(xp)
-        for j in range(self.k):
-            grad_taps[:, j] = np.sum(grad_y * xp[:, j:j + t], axis=(0, 1, 3, 4))
-            grad_xp[:, j:j + t] += self.taps[None, None, :, j, None, None] * grad_y
-        return grad_xp[:, kh:kh + t], {"taps": grad_taps}
+    def forward(self, x):
+        y = np.empty(x.shape, dtype=x.dtype)
+        np.matmul(self._band(x.shape[1])[0], _frames(x), out=_frames(y))
+        return y, x
+
+    def backward(self, grad_y, x):
+        band, e = self._band(x.shape[1])
+        g = _frames(grad_y)
+        grad_x = np.empty(x.shape, dtype=grad_y.dtype)
+        np.matmul(band.swapaxes(1, 2), g, out=_frames(grad_x))
+        outer = np.matmul(g, _frames(x).swapaxes(2, 3)).sum(axis=0)    # [C, T, T]
+        return grad_x, {"taps": np.einsum("crs,jrs->cj", outer, e)}
+
+
+def _frames(x: np.ndarray) -> np.ndarray:
+    """[N, C, T, H*W] view of a C-ordered [N, T, C, H, W] map; writes land in x."""
+    return x.reshape(x.shape[:3] + (-1,)).swapaxes(1, 2)
 
 
 class SpatialPool(Layer):
@@ -361,7 +371,7 @@ class TinBlock(Layer):
         ograds, wgrads, grad_z = nets.nets_backward(
             grad_off, grad_w, tape["otape"], tape["wtape"], self.onet, self.wnet, self.cfg.mirror)
         h, w = tape["hw"]
-        grad_u = grad_u + nets.pool_descriptor_vjp(grad_z, h, w)
+        grad_u += nets.pool_descriptor_vjp(grad_z, h, w)
         grads = {f"onet.{k}": v for k, v in ograds.items()}
         grads.update({f"wnet.{k}": v for k, v in wgrads.items()})
         return (grad_u if batched else grad_u[0]), grads

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
-from . import synth, tcn
+from . import nets, synth, tcn
 from . import training as train_mod
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .interlace import InterlaceConfig, interlace_forward
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-fraction", type=float, default=0.25, dest="shift_fraction")
     p.add_argument("--weight-all-channels", action="store_true", dest="weight_all_channels")
     p.add_argument("--weightnet-input", default="descriptor",
-                   choices=["descriptor", "channel_mean"], dest="weightnet_input")
+                   choices=nets.WEIGHTNET_INPUTS, dest="weightnet_input")
     p.add_argument("--cache-data", action="store_true", dest="cache_data",
                    help="also write the generated clips in the binary tensor format")
 

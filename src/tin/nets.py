@@ -33,14 +33,18 @@ def pool_descriptor(u: np.ndarray) -> np.ndarray:
 
 
 def pool_descriptor_vjp(grad_z: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Spread the descriptor gradient back over the H x W positions."""
+    """Spread the descriptor gradient back over the H x W positions.
+
+    Returns a read-only broadcast view, [T, C, H, W] or [N, T, C, H, W];
+    add it into a gradient, or copy it before writing.
+    """
     grad_z = np.asarray(grad_z)
     scale = grad_z / (h * w)
     if grad_z.ndim == 2:
-        return np.broadcast_to(scale.T[:, :, None, None], scale.T.shape + (h, w)).copy()
+        return np.broadcast_to(scale.T[:, :, None, None], scale.T.shape + (h, w))
     if grad_z.ndim == 3:
         swapped = np.swapaxes(scale, 1, 2)
-        return np.broadcast_to(swapped[..., None, None], swapped.shape + (h, w)).copy()
+        return np.broadcast_to(swapped[..., None, None], swapped.shape + (h, w))
     raise ShapeError(f"descriptor grad must be rank 2 or 3, got {grad_z.shape}")
 
 

@@ -8,6 +8,7 @@ from tin.blocks import (Linear, PointwiseConv2d, ReLU, SpatialPool, TemporalConv
                         TemporalMean, TinBlock, Chain, cross_entropy, make_toy_net)
 from tin.errors import ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
+from tin.tcn import DenseTemporalKernel, dense_tconv
 from tin.tensors import Rng
 
 
@@ -73,6 +74,107 @@ def test_temporal_conv_matches_loop():
                 if 0 <= t + s < 5:
                     acc += layer.taps[c, j] * x[0, t + s, c]
             assert np.max(np.abs(y[0, t, c] - acc)) < 1e-12
+
+
+def _stationary_oracle(taps, t):
+    """taps [C, k] as the oracle's kernel; taps beyond +-T reach no frame of a T-frame clip."""
+    kh = taps.shape[1] // 2
+    r = min(kh, t)
+    return DenseTemporalKernel.stationary(taps[:, kh - r:kh + r + 1], t)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("t", [1, 2, 8])
+def test_temporal_conv_matches_dense_oracle(k, t):
+    rng = Rng(10 * k + t)
+    layer = TemporalConv(3, "tc", k=k)
+    layer.taps[:] = rng.uniform([3, k], -1.0, 1.0)
+    x = rng.child("x").uniform([2, t, 3, 2, 2], -1.0, 1.0)
+    y, _ = layer.forward(x)
+    kernel = _stationary_oracle(layer.taps, t)
+    for n in range(2):
+        assert np.max(np.abs(y[n] - dense_tconv(x[n], kernel))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("t", [1, 2, 8])
+def test_temporal_conv_backward_is_the_adjoint(k, t):
+    # <B x, g> = <x, B^T g>; the output is also linear in the taps, so
+    # <y(taps'), g> = <taps', grad_taps> for any other taps'
+    rng = Rng(100 + 10 * k + t)
+    layer = TemporalConv(3, "tc", k=k)
+    layer.taps[:] = rng.uniform([3, k], -1.0, 1.0)
+    x = rng.child("x").uniform([2, t, 3, 2, 2], -1.0, 1.0)
+    g = rng.child("g").uniform([2, t, 3, 2, 2], -1.0, 1.0)
+    y, tape = layer.forward(x)
+    grad_x, grads = layer.backward(g, tape)
+    assert abs(np.sum(y * g) - np.sum(x * grad_x)) < 1e-12
+    other = rng.child("taps").uniform([3, k], -1.0, 1.0)
+    layer.taps[:] = other
+    y_other, _ = layer.forward(x)
+    assert abs(np.sum(y_other * g) - np.sum(other * grads["taps"])) < 1e-12
+
+
+def test_temporal_conv_reads_its_live_taps():
+    # training and the benchmark's central differences write through
+    # named_params() in place; the next forward and backward must see it
+    layer = TemporalConv(3, "tc")
+    rng = Rng(12)
+    x = rng.uniform([2, 8, 3, 2, 2], -1.0, 1.0)
+    y0, _ = layer.forward(x)
+    flat = layer.named_params()["taps"].reshape(-1)
+    flat[0] += 0.5                                     # channel 0, frame t - 1
+    y1, tape = layer.forward(x)
+    want = np.zeros_like(x)
+    want[:, 1:, 0] = 0.5 * x[:, :-1, 0]
+    assert np.max(np.abs(y1 - y0 - want)) < 1e-15
+    for n in range(2):
+        assert np.max(np.abs(y1[n] - dense_tconv(x[n], _stationary_oracle(layer.taps, 8)))) < 1e-12
+    g = rng.child("g").uniform([2, 8, 3, 2, 2], -1.0, 1.0)
+    grad_x, _ = layer.backward(g, tape)
+    assert abs(np.sum(y1 * g) - np.sum(x * grad_x)) < 1e-12
+
+
+def _arrays(obj) -> list:
+    """Every array held in a tape: in dicts, lists, tuples and object attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif hasattr(obj, "__dict__"):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return [a for o in obj for a in _arrays(o)]
+    return []
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_no_layer_writes_into_its_input_gradient_or_tape(temporal):
+    # a tape can be the next layer's input and tape (ReLU keeps its
+    # output), so one in-place write would corrupt another layer's backward
+    net = make_toy_net(8, 1, 3, Rng(13), temporal=temporal)
+    rng = Rng(14)
+    x = rng.uniform([2, 8, 1, 6, 6], -1.0, 1.0)
+    tapes, held = [], []
+    for layer in net.layers:
+        before = x.copy()
+        y, tape = layer.forward(x)
+        assert x.tobytes() == before.tobytes(), f"{layer.name}.forward wrote into its input"
+        x = y
+        tapes.append(tape)
+        held += [(a, a.copy()) for a in _arrays(tape)]
+
+    def tapes_intact():
+        return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in held)
+
+    assert tapes_intact(), "a forward wrote into an earlier layer's tape"
+    g = rng.child("g").uniform(list(x.shape), -1.0, 1.0)
+    for layer, tape in zip(reversed(net.layers), reversed(tapes)):
+        before = g.copy()
+        grad_x, _ = layer.backward(g, tape)
+        assert g.tobytes() == before.tobytes(), f"{layer.name}.backward wrote into its gradient"
+        assert tapes_intact(), f"{layer.name}.backward wrote into a tape"
+        g = grad_x
 
 
 def test_spatial_pool_kinds():

@@ -1,11 +1,12 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from tin import synth
-from tin.cli import main
+from tin import nets, synth
+from tin.cli import build_parser, main
 from tin.tensors import load_tensor
 from tin.training import TrainConfig, run_experiment, task_data
 
@@ -132,6 +133,12 @@ def test_demo_load_of_a_truncated_file_exits_2_with_one_line(tmp_path, capsys):
     code, _, err = run(["demo", "--load", str(dump)], capsys)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_weightnet_input_choices_are_the_library_modes():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices["train"]._actions if a.dest == "weightnet_input")
+    assert tuple(action.choices) == nets.WEIGHTNET_INPUTS
 
 
 def test_unknown_flag_exits_2(capsys):

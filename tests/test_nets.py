@@ -229,7 +229,8 @@ def test_nets_backward_zero_upstream_gives_zero_param_grads():
 
 def test_relu_vjp_zeroes_negative_preactivations():
     pre = np.array([-1.0, 0.0, 2.0, -0.5])
-    g, _ = ReLU().backward(np.ones(4), pre)
+    _, tape = ReLU().forward(pre)
+    g, _ = ReLU().backward(np.ones(4), tape)
     assert np.array_equal(g, [0.0, 0.0, 1.0, 0.0])
 
 

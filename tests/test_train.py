@@ -38,21 +38,22 @@ import sys
 from tin.synth import SynthTask
 from tin.training import TrainConfig, build_net, task_data, train
 spec = SynthTask(train_clips=96, val_clips=48)
-net = build_net(spec, "tin", seed=0)
+net = build_net(spec, sys.argv[1], seed=0)
 train(net, *task_data(spec), TrainConfig(lr=0.05, epochs=1, seed=0, batch_size=32))
 for name, p in sorted(net.named_params().items()):
     sys.stdout.write(name + " " + p.tobytes().hex() + "\\n")
 """
 
 
-def test_trained_parameters_identical_across_blas_thread_counts():
+@pytest.mark.parametrize("temporal", ["tin", "tcn"])
+def test_trained_parameters_identical_across_blas_thread_counts(temporal):
     import tin
     src = os.path.dirname(os.path.dirname(os.path.abspath(tin.__file__)))
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _TRAIN_AND_DUMP], env=env,
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_AND_DUMP, temporal], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outs.append(proc.stdout)
     assert outs[0] and outs[0] == outs[1]
