@@ -2,11 +2,11 @@
 
 A TinBlock wires pooling, the offset net, the weight net and the interlace
 operator together: v = interlace(u, rescale(offsetnet(pool(u))),
-weightnet(pool(u))). The per-frame layers (pointwise 2D conv, ReLU,
-spatial pool, temporal mean, linear head, and a per-channel trainable
-temporal convolution) build toy video classifiers whose only temporal
-mixing is the block under test: without it they are provably blind to
-frame order. Feature-map batches are [N, T, C, H, W].
+weightnet(pool(u))). The toy video classifiers run conv1 -> relu1 -> [tin |
+tconv] -> conv2 -> spool(max) -> relu2 -> tmean -> head; their only temporal
+mixing is the block under test (tin, or tconv, a per-channel trainable
+temporal conv): without it they are provably blind to frame order. relu2
+follows the pool as max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
 
 The generator nets are chains of small layers over descriptors [N, C, T]:
 OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
@@ -144,10 +144,10 @@ def _frames(x: np.ndarray) -> np.ndarray:
 class SpatialPool(Layer):
     """Per-frame pooling over the pixels: [N, T, C, H, W] -> [N, T, C].
 
-    "max" keeps the response of sparse localized patterns at full
-    strength; "mean" dilutes it by H x W, which starves the gradients of
-    everything upstream on blob-like data. Both are order-free per frame,
-    so neither can leak temporal information.
+    The toy nets max-pool conv2's pre-activations. "max" keeps the response
+    of sparse localized patterns at full strength; "mean" dilutes it by H x W,
+    which starves the gradients upstream on blob-like data. Both are
+    order-free per frame, so neither can leak temporal information.
     """
 
     def __init__(self, kind: str = "max", name: str = "spool"):
@@ -379,14 +379,14 @@ class TinBlock(Layer):
 
 def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
                  temporal: str = "tin", cfg: InterlaceConfig | None = None,
-                 weightnet_input: str = "descriptor", head_scale: float = 0.1,
-                 pool: str = "max") -> Chain:
+                 weightnet_input: str = "descriptor", head_scale: float = 0.1) -> Chain:
     """Per-frame conv net with one optional temporal-mixing layer.
 
-    temporal selects the layer under test: "tin" (interlace block), "tcn"
-    (trainable per-channel 3-tap temporal conv), or "none" (temporally
-    blind baseline). Layer parameters draw from per-name child streams, so
-    shared layers are identical across the three variants under one seed.
+    conv1 -> relu1 -> [tin | tconv] -> conv2 -> spool(max) -> relu2 -> tmean
+    -> head; relu2 follows the pool as max(relu(z)) = relu(max(z)). temporal
+    selects the layer under test: "tin" (interlace block), "tcn" (trainable
+    per-channel 3-tap temporal conv), or "none" (temporally blind baseline).
+    Per-name child streams make shared layers identical across the variants.
     """
     if temporal not in ("tin", "tcn", "none"):
         raise ShapeError(f"unknown temporal layer kind {temporal!r}")
@@ -403,8 +403,8 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
         layers.append(TemporalConv(hidden, "tconv"))
     layers += [
         PointwiseConv2d(hidden, hidden, rng.child("conv2"), "conv2"),
+        SpatialPool("max"),
         ReLU("relu2"),
-        SpatialPool(pool),
         TemporalMean(),
         Linear(hidden, k_classes, rng.child("head"), "head", scale=head_scale),
     ]

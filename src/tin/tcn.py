@@ -58,11 +58,11 @@ class DenseTemporalKernel:
         """per_channel: [C, K] with K odd, centered on relative frame 0."""
         per_channel = np.asarray(per_channel, dtype=np.float64)
         c, k = per_channel.shape
-        if k % 2 != 1 or k > 2 * t + 1:
-            raise ShapeError(f"stationary kernel size {k} invalid for support [-{t}, {t}]")
+        if k % 2 != 1:
+            raise ShapeError(f"stationary kernel size {k} must be odd")
+        r = min(k // 2, t)    # taps beyond +-T reach no frame; they are dropped
         taps = np.zeros((c, t, 2 * t + 1))
-        lo = t - k // 2
-        taps[:, :, lo:lo + k] = per_channel[:, None, :]
+        taps[:, :, t - r:t + r + 1] = per_channel[:, None, k // 2 - r:k // 2 + r + 1]
         return cls(taps)
 
 

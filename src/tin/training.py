@@ -163,7 +163,7 @@ def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
 
     record.final_val_acc = record.epochs[-1].val_acc if record.epochs else 0.0
     if record.weight_traj and record.weight_traj[-1]:
-        w_last = np.asarray(record.weight_traj[-1][0])
+        w_last = np.asarray(record.weight_traj[-1]).mean(axis=0)    # over the tin layers
         record.boundary_weight_mean = float((w_last[0] + w_last[-1]) / 2.0)
         record.center_weight_mean = float(w_last[1:-1].mean())
     return record

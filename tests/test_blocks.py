@@ -76,13 +76,6 @@ def test_temporal_conv_matches_loop():
             assert np.max(np.abs(y[0, t, c] - acc)) < 1e-12
 
 
-def _stationary_oracle(taps, t):
-    """taps [C, k] as the oracle's kernel; taps beyond +-T reach no frame of a T-frame clip."""
-    kh = taps.shape[1] // 2
-    r = min(kh, t)
-    return DenseTemporalKernel.stationary(taps[:, kh - r:kh + r + 1], t)
-
-
 @pytest.mark.parametrize("k", [3, 5])
 @pytest.mark.parametrize("t", [1, 2, 8])
 def test_temporal_conv_matches_dense_oracle(k, t):
@@ -91,7 +84,7 @@ def test_temporal_conv_matches_dense_oracle(k, t):
     layer.taps[:] = rng.uniform([3, k], -1.0, 1.0)
     x = rng.child("x").uniform([2, t, 3, 2, 2], -1.0, 1.0)
     y, _ = layer.forward(x)
-    kernel = _stationary_oracle(layer.taps, t)
+    kernel = DenseTemporalKernel.stationary(layer.taps, t)
     for n in range(2):
         assert np.max(np.abs(y[n] - dense_tconv(x[n], kernel))) < 1e-12
 
@@ -128,8 +121,9 @@ def test_temporal_conv_reads_its_live_taps():
     want = np.zeros_like(x)
     want[:, 1:, 0] = 0.5 * x[:, :-1, 0]
     assert np.max(np.abs(y1 - y0 - want)) < 1e-15
+    kernel = DenseTemporalKernel.stationary(layer.taps, 8)
     for n in range(2):
-        assert np.max(np.abs(y1[n] - dense_tconv(x[n], _stationary_oracle(layer.taps, 8)))) < 1e-12
+        assert np.max(np.abs(y1[n] - dense_tconv(x[n], kernel))) < 1e-12
     g = rng.child("g").uniform([2, 8, 3, 2, 2], -1.0, 1.0)
     grad_x, _ = layer.backward(g, tape)
     assert abs(np.sum(y1 * g) - np.sum(x * grad_x)) < 1e-12
@@ -229,6 +223,50 @@ def test_toy_net_initial_loss_near_log_k():
         logits, _ = net.forward(x)
         loss, _, _ = cross_entropy(logits, labels)
         assert abs(loss - math.log(k)) < 0.05
+
+
+def _relu_then_pool(net: Chain) -> Chain:
+    """The same layer objects with relu2 back in front of the max-pool."""
+    names = [l.name for l in net.layers]
+    i = names.index("spool")
+    assert names[i + 1] == "relu2"
+    layers = list(net.layers)
+    layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return Chain(layers)
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_max_pool_before_relu2_matches_relu_then_pool(temporal):
+    # ReLU is monotone, so max_p relu(z_p) = relu(max_p z_p): the old
+    # order conv2 -> relu2 -> spool is the oracle for the new one
+    rng = Rng(19)
+    net = make_toy_net(8, 1, 3, rng.child("net"), temporal=temporal)
+    params = net.named_params()
+    for name in ("tin.onet.fc2.b", "tin.wnet.conv.b", "tconv.taps"):
+        if name in params:
+            params[name][...] = rng.child(name).uniform(params[name].shape, -1.0, 1.0)
+    # clip 0 reaches conv2 as zeros, so its map of channel c is conv2.b[c]
+    # at every pixel: channel 0 is all below zero, channel 1 a tie at a
+    # positive max
+    params["conv2.b"][:2] = [-0.3, 0.2]
+    x = rng.child("x").uniform([4, 8, 1, 6, 6], -1.0, 1.0)
+    x[0] = 0.0
+    old = _relu_then_pool(net)
+    logits, tapes = net.forward(x)
+    old_logits, old_tapes = old.forward(x)
+    assert logits.tobytes() == old_logits.tobytes()
+    relu2_out = tapes[[l.name for l in net.layers].index("relu2")]
+    assert relu2_out.shape == (4, 8, 16)       # relu2 runs on the pooled values
+    assert np.all(relu2_out[0, :, 0] == 0.0) and np.all(relu2_out[0, :, 1] == 0.2)
+    g = rng.child("g").uniform(list(logits.shape), -1.0, 1.0)
+    grad_x, grads = net.backward(g, tapes)
+    old_grad_x, old_grads = old.backward(g, old_tapes)
+    # values, not bytes: where a map's max is <= 0 and its pooled gradient
+    # negative, the -0.0 now sits at argmax(z) rather than at pixel 0
+    assert np.array_equal(grad_x, old_grad_x)
+    assert grads.keys() == old_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, old_grads[name]), name
 
 
 def test_toy_net_removing_block_keeps_shapes_valid():

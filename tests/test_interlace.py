@@ -172,6 +172,38 @@ def test_forward_shape_preserved_and_unshifted_passthrough():
     assert np.array_equal(v[:, 4:], u[:, 4:])
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+def test_integer_offsets_with_unit_weights_are_a_zero_filled_shift(batch):
+    # the temporal shift module's case: each group is a plain shift of its
+    # frames, zero filled, and the unshifted channels pass through untouched
+    rng = Rng(31 if batch is None else 32)
+    for trial in range(40):
+        r = rng.child(f"trial{trial}")
+        t = int(r.integers(1, 13))
+        mirror = bool(r.integers(0, 2))
+        g = 2 * int(r.integers(1, 3)) if mirror else int(r.integers(1, 5))
+        gs = int(r.integers(1, 3))
+        cfg = InterlaceConfig(t=t, c=2 * g * gs, g=g, shift_fraction=0.5, mirror=mirror)
+        reach = (t - 1) // 2                       # |offset| < T/2
+        learned = r.integers(-reach, reach + 1, g // 2 if mirror else g).astype(np.float64)
+        offsets = np.concatenate([learned, -learned]) if mirror else learned
+        weights = np.ones((g, t))
+        lead = [] if batch is None else [batch]
+        u = r.child("u").uniform(lead + [t, cfg.c, 2, 3], -1.0, 1.0)
+        shifts = offsets.astype(int).tolist()
+        if batch is not None:
+            offsets, weights = np.tile(offsets, (batch, 1)), np.tile(weights, (batch, 1, 1))
+        v, _ = interlace_forward(u, offsets, weights, cfg)
+        ub, vb = (u[None], v[None]) if batch is None else (u, v)
+        groups, (rest, _) = partition_channels(cfg)
+        want = ub.copy()
+        for (lo, hi), n0 in zip(groups, shifts):
+            want[:, :, lo:hi] = 0.0
+            want[:, max(-n0, 0):t - max(n0, 0), lo:hi] = ub[:, max(n0, 0):t + min(n0, 0), lo:hi]
+        assert np.array_equal(vb, want), (trial, t, g, mirror, shifts)
+        assert vb[:, :, rest:].tobytes() == ub[:, :, rest:].tobytes()
+
+
 def test_forward_linearity_in_input():
     cfg = InterlaceConfig(t=6, c=8, g=2, shift_fraction=0.5, mirror=True)
     rng = Rng(10)

@@ -93,6 +93,25 @@ def test_epoch_zero_trajectories_are_neutral():
     assert np.all(np.asarray(rec.weight_traj[0][0]) == 1.0)
 
 
+def test_weight_means_average_every_tin_layer():
+    from tin.blocks import Chain, TinBlock
+    from tin.interlace import InterlaceConfig
+    from tin.tensors import Rng
+
+    spec = small_spec()
+    tr, va = standardize(generate_task(spec, "train"), generate_task(spec, "val"))
+    net = build_net(spec, "tin", seed=0)
+    second = TinBlock(InterlaceConfig(t=8, c=16), Rng(1), "tin_b")
+    net = Chain(net.layers[:3] + [second] + net.layers[3:])
+    net.layers[2].wnet.bias[:] = 1.0           # weights 2 * sigmoid(1) ~ 1.46
+    second.wnet.bias[:] = -2.0                 # weights 2 * sigmoid(-2) ~ 0.24
+    rec = train(net, tr, va, TrainConfig(lr=0.0, epochs=1, seed=0, batch_size=32))
+    layers = np.asarray(rec.weight_traj[-1])
+    assert layers.shape == (2, 8) and layers[0, 0] > 1.4 and layers[1, 0] < 0.3
+    assert rec.boundary_weight_mean == pytest.approx((layers[:, 0] + layers[:, -1]).mean() / 2)
+    assert rec.center_weight_mean == pytest.approx(layers[:, 1:-1].mean())
+
+
 def test_record_serialization_and_trajectory_csv(tmp_path):
     spec = small_spec()
     cfg = TrainConfig(lr=0.05, epochs=2, seed=2, batch_size=32)
