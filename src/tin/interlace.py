@@ -19,18 +19,20 @@ For one (clip, group) the resampling is the T x T matrix with two
 diagonals B = (1 - f) E[n0] + f E[n0 + 1], where E[k] has ones where
 column = row + k; rows of E that would read outside the clip are zero,
 which is the boundary buffer. With D = E[n0 + 1] - E[n0], x the
-[N, G, T, gs*H*W] view of the shifted channels, w the weights and g the
-output gradient on that view:
+[N, G, T, gs*H*W] view of the shifted channels, w the weights, g the
+output gradient on that view and M = x @ g^T its T x T Gram product:
 
     v      = w * (B @ x)
     grad_u = B^T @ (w * g)
-    grad_w = sum over gs*H*W of g * (B @ x)
-    grad_O = sum over T and gs*H*W of (w * g) * (D @ x)
+    grad_w = diag(B @ M)
+    grad_O = sum over T of w * diag(D @ M)
 
+since sum over p of g[r, p] (B @ x)[r, p] = sum over s of B[r, s] M[s, r].
 The code folds the weights into the band, diag(w) @ B, so the forward and
 the input gradient are one matmul each, written straight into the result;
-the backward gets B @ x and D @ x from one more. Every resampling here,
-temporal_sample and its VJP included, goes through that one form.
+the backward reads x and g once more for M and reduces it through both
+bands at T x T cost. Every resampling here, temporal_sample and its VJP
+included, goes through that one form.
 Integer offsets make B a plain shift matrix (the temporal shift module's
 case), and offset 0 makes it the identity.
 
@@ -158,6 +160,16 @@ def _band(offsets: np.ndarray, t: int) -> np.ndarray:
     return np.stack([(1.0 - f) * e0 + f * e1, e1 - e0], axis=-3)
 
 
+def _band_rows(bd: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row sums of g * (band @ x) for each band of bd: [..., K, T, T] -> [..., K, T].
+
+    Reduces through the Gram product M = x @ g^T ([..., T, T]), so no
+    product the size of x is formed: the row r sum is diag(band @ M)[r].
+    """
+    m = x @ g.swapaxes(-1, -2)
+    return np.einsum("...krs,...sr->...kr", bd, m)
+
+
 def _grouped(x: np.ndarray, cfg: InterlaceConfig) -> np.ndarray:
     """[N, G, T, gs*H*W] view of the shifted channels of a map [N, T, C, H, W].
 
@@ -186,7 +198,8 @@ def temporal_sample_vjp(u: np.ndarray, offset: float, grad_v: np.ndarray):
     """Gradients of temporal_sample w.r.t. the input and the offset.
 
     The input gradient is B^T @ grad_v; the offset gradient is the sum of
-    grad_v * (D @ u), right-hand at integer offsets.
+    grad_v * (D @ u), taken as trace(D @ M) with M = u @ grad_v^T, and is
+    right-hand at integer offsets.
     """
     u = np.asarray(u)
     grad_v = np.asarray(grad_v)
@@ -196,7 +209,7 @@ def temporal_sample_vjp(u: np.ndarray, offset: float, grad_v: np.ndarray):
     t = u.shape[0]
     g = grad_v.reshape(t, -1)
     grad_u = (b.T @ g).reshape(u.shape)
-    grad_offset = float(np.sum(g * (d @ u.reshape(t, -1))))
+    grad_offset = float(np.sum(_band_rows(d[None], u.reshape(t, -1), g)))
     return grad_u, grad_offset
 
 
@@ -225,17 +238,25 @@ def _batchify(u, offsets, weights, cfg: InterlaceConfig):
     return ub, ob, wb, batched
 
 
+def _pass_through(out: np.ndarray, x: np.ndarray, weights: np.ndarray, cfg: InterlaceConfig):
+    """Write the un-shifted channels of x into out, scaled when weight_all_channels."""
+    cs = cfg.c_shift
+    if cfg.g and cfg.weight_all_channels:
+        np.multiply(x[:, :, cs:], weights.mean(axis=1)[:, :, None, None, None], out=out[:, :, cs:])
+    else:
+        out[:, :, cs:] = x[:, :, cs:]
+
+
 def interlace_forward(u, offsets, weights, cfg: InterlaceConfig):
     """Apply the operator; returns (v, tape) with v the same shape as u."""
     ub, ob, wb, batched = _batchify(u, offsets, weights, cfg)
     validate_offsets(ob, cfg)
     validate_weights(wb, cfg)
-    v = ub.copy()
+    v = np.empty(ub.shape, dtype=ub.dtype)
+    _pass_through(v, ub, wb, cfg)
     if cfg.g:
         wband = wb[..., None] * _band(ob, cfg.t)[:, :, 0]      # diag(w) @ B
         np.matmul(wband, _grouped(ub, cfg), out=_grouped(v, cfg))
-        if cfg.weight_all_channels:
-            v[:, :, cfg.c_shift:] *= wb.mean(axis=1)[:, :, None, None, None]
     assert_finite(v, "interlace output")
     tape = InterlaceTape(ub, ob, wb, cfg, batched)
     return (v if batched else v[0]), tape
@@ -245,31 +266,31 @@ def interlace_backward(grad_v, tape: InterlaceTape):
     """Exact VJPs w.r.t. the input, the offsets and the attention weights.
 
     The tape is single-use; a second call on the same tape is an error.
+    A gradient of the wrong shape is rejected without using the tape up.
     """
     if tape.consumed:
         raise ShapeError("interlace tape already consumed by a backward call")
-    tape.consumed = True
     cfg = tape.cfg
     grad_v = np.asarray(grad_v, dtype=tape.u.dtype)
     gb = grad_v[None] if not tape.batched else grad_v
     if gb.shape != tape.u.shape:
         raise ShapeError(f"grad shape {grad_v.shape} does not match forward input")
+    tape.consumed = True
 
-    grad_u = gb.copy()
+    grad_u = np.empty(gb.shape, dtype=gb.dtype)
+    _pass_through(grad_u, gb, tape.weights, cfg)
     grad_off = np.zeros_like(tape.offsets)
     grad_w = np.zeros_like(tape.weights)
     if cfg.g:
-        cs = cfg.c_shift
         if cfg.weight_all_channels:
-            u_rest, g_rest = tape.u[:, :, cs:], gb[:, :, cs:]
-            grad_u[:, :, cs:] *= tape.weights.mean(axis=1)[:, :, None, None, None]
-            grad_w += np.sum(g_rest * u_rest, axis=(2, 3, 4))[:, None, :] / cfg.g
+            cs = cfg.c_shift
+            dots = np.einsum("ntchw,ntchw->nt", gb[:, :, cs:], tape.u[:, :, cs:])
+            grad_w += dots[:, None, :] / cfg.g
         bd = _band(tape.offsets, cfg.t)
         g = _grouped(gb, cfg)
         wband = tape.weights[..., None] * bd[:, :, 0]            # diag(w) @ B
         np.matmul(wband.swapaxes(-1, -2), g, out=_grouped(grad_u, cfg))
-        # per-row sums of g * (B @ x) and g * (D @ x), [N, G, 2, T]
-        rows = np.sum(g[:, :, None] * (bd @ _grouped(tape.u, cfg)[:, :, None]), axis=-1)
+        rows = _band_rows(bd, _grouped(tape.u, cfg), g)          # [N, G, 2, T]
         grad_w += rows[:, :, 0]
         grad_off += np.sum(tape.weights * rows[:, :, 1], axis=-1)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,146 @@ def test_backward_matches_loop_oracle_for_input_grad():
                 if 0 <= tap < t:
                     ref[tap, lo:hi] += coef * weights[gi, ti] * grad_v[ti, lo:hi]
     assert np.max(np.abs(gu - ref)) < 1e-12
+
+
+def test_rejected_gradient_leaves_the_tape_usable():
+    cfg = InterlaceConfig(t=4, c=8, g=2, shift_fraction=0.5, mirror=False)
+    u, offsets, weights = _random_inputs(Rng(20), cfg)
+    grad_v = Rng(21).uniform(u.shape, -1.0, 1.0)
+    _, tape = interlace_forward(u, offsets, weights, cfg)
+    with pytest.raises(ShapeError):
+        interlace_backward(np.ones([4, 8, 3, 4]), tape)
+    got = interlace_backward(grad_v, tape)
+    _, fresh = interlace_forward(u, offsets, weights, cfg)
+    for a, b in zip(got, interlace_backward(grad_v, fresh)):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# random configurations: oracle and property sweeps
+
+def _random_case(r, batch=None, dtype=np.float64):
+    """A seeded random config and (u, offsets, weights, grad_v) for it.
+
+    A third of the cases put every offset on an integer, the kink of the
+    offset gradient; T = 1 leaves only offset 0.
+    """
+    t = int(r.integers(1, 10))
+    mirror = bool(r.integers(0, 2))
+    g = 2 * int(r.integers(1, 3)) if mirror else int(r.integers(1, 5))
+    gs = int(r.integers(1, 3))
+    frac = (0.25, 0.5, 1.0)[int(r.integers(0, 3))]
+    cfg = InterlaceConfig(t=t, c=round(g * gs / frac), g=g, shift_fraction=frac, mirror=mirror,
+                          weight_all_channels=bool(r.integers(0, 2)))
+    lead = [] if batch is None else [batch]
+    learned = lead + [g // 2 if mirror else g]
+    if r.integers(0, 3) == 0 or t == 1:
+        reach = (t - 1) // 2
+        half = r.integers(-reach, reach + 1, learned).astype(np.float64)
+    else:
+        half = r.child("o").uniform(learned, -t / 2 + 1e-3, t / 2 - 1e-3)
+    offsets = np.concatenate([half, -half], axis=-1) if mirror else half
+    weights = r.child("w").uniform(lead + [g, t], 0.05, 1.95)
+    shape = lead + [t, cfg.c, 2, 3]
+    u = r.child("u").uniform(shape, -1.0, 1.0, dtype=dtype)
+    grad_v = r.child("g").uniform(shape, -1.0, 1.0, dtype=dtype)
+    return cfg, u, offsets.astype(dtype), weights.astype(dtype), grad_v
+
+
+def _product_form_grads(u, offsets, weights, grad_v, cfg):
+    """grad_w and grad_offsets with the products g * (B @ x) and g * (D @ x)
+    formed in full, one clip and one group at a time, in float64."""
+    ub, ob, wb, gb = (a.astype(np.float64) for a in (u, offsets, weights, grad_v))
+    if u.ndim == 4:
+        ub, ob, wb, gb = ub[None], ob[None], wb[None], gb[None]
+    groups, (rest, _) = partition_channels(cfg)
+    grad_w = np.zeros_like(wb)
+    grad_o = np.zeros_like(ob)
+    for n in range(ub.shape[0]):
+        for gi, (lo, hi) in enumerate(groups):
+            x, g = ub[n, :, lo:hi], gb[n, :, lo:hi]
+            n0 = np.floor(ob[n, gi])
+            bx = loop_sample(x, ob[n, gi])
+            dx = loop_sample(x, n0 + 1) - loop_sample(x, n0)
+            grad_w[n, gi] = np.sum(g * bx, axis=(1, 2, 3))
+            grad_o[n, gi] = np.sum(wb[n, gi] * np.sum(g * dx, axis=(1, 2, 3)))
+        if cfg.weight_all_channels:
+            grad_w[n] += np.sum(gb[n, :, rest:] * ub[n, :, rest:], axis=(1, 2, 3)) / cfg.g
+    return (grad_w, grad_o) if u.ndim == 5 else (grad_w[0], grad_o[0])
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_weight_and_offset_grads_match_the_product_form(batch, dtype, tol):
+    rng = Rng(40 if batch is None else 41)
+    for trial in range(60):
+        cfg, u, offsets, weights, grad_v = _random_case(rng.child(f"trial{trial}"), batch, dtype)
+        _, tape = interlace_forward(u, offsets, weights, cfg)
+        _, grad_o, grad_w = interlace_backward(grad_v, tape)
+        assert grad_o.dtype == grad_w.dtype == dtype
+        for got, want in zip((grad_w, grad_o), _product_form_grads(u, offsets, weights, grad_v, cfg)):
+            scale = max(np.max(np.abs(want)), 1e-30)
+            assert np.max(np.abs(got - want)) <= tol * scale, (trial, cfg)
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_adjoint_identity_at_fixed_offsets_and_weights(batch):
+    # <v(u), g> = <u, grad_u>: the backward is the transpose of the forward
+    rng = Rng(42 if batch is None else 43)
+    for trial in range(60):
+        cfg, u, offsets, weights, grad_v = _random_case(rng.child(f"trial{trial}"), batch)
+        v, tape = interlace_forward(u, offsets, weights, cfg)
+        grad_u, _, _ = interlace_backward(grad_v, tape)
+        lhs, rhs = np.sum(v * grad_v), np.sum(u * grad_u)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(v * grad_v)), (trial, cfg)
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_offset_zero_and_weight_one_are_the_identity_bit_for_bit(batch):
+    rng = Rng(44 if batch is None else 45)
+    lead = [] if batch is None else [batch]
+    for trial in range(40):
+        cfg, u, _, _, grad_v = _random_case(rng.child(f"trial{trial}"), batch)
+        v, tape = interlace_forward(u, np.zeros(lead + [cfg.g]), np.ones(lead + [cfg.g, cfg.t]), cfg)
+        grad_u, _, _ = interlace_backward(grad_v, tape)
+        assert v.tobytes() == u.tobytes(), (trial, cfg)
+        assert grad_u.tobytes() == grad_v.tobytes(), (trial, cfg)
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_time_reversal_negates_the_offsets(batch):
+    # interlace(u reversed in time, -O, w reversed) = interlace(u, O, w) reversed;
+    # with mirror on, -O is again a mirrored offset vector
+    rng = Rng(46 if batch is None else 47)
+    t_axis = 0 if batch is None else 1
+    for trial in range(60):
+        cfg, u, offsets, weights, _ = _random_case(rng.child(f"trial{trial}"), batch)
+        v, _ = interlace_forward(u, offsets, weights, cfg)
+        v_rev, _ = interlace_forward(np.flip(u, t_axis), -offsets, weights[..., ::-1], cfg)
+        assert np.max(np.abs(v_rev - np.flip(v, t_axis))) <= 1e-12, (trial, cfg)
+
+
+@pytest.mark.parametrize("weight_all_channels", [False, True])
+def test_forward_and_backward_allocate_little_beyond_their_result(weight_all_channels):
+    # at the training shapes: no product the size of the shifted channels,
+    # no full-map copy later overwritten
+    cfg = InterlaceConfig(t=8, c=16, g=4, shift_fraction=0.25, mirror=True,
+                          weight_all_channels=weight_all_channels)
+    rng = Rng(48)
+    u = rng.child("u").uniform([64, 8, 16, 16, 16], -1.0, 1.0)
+    grad_v = rng.child("g").uniform(u.shape, -1.0, 1.0)
+    half = rng.child("o").uniform([64, 2], -3.5, 3.5)
+    offsets = np.concatenate([half, -half], axis=1)
+    weights = rng.child("w").uniform([64, 4, 8], 0.1, 1.9)
+    tracemalloc.start()
+    try:
+        v, tape = interlace_forward(u, offsets, weights, cfg)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        grad_u, _, _ = interlace_backward(grad_v, tape)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= v.nbytes + 2**20
+    assert backward_peak <= grad_u.nbytes + 2**20
