@@ -7,7 +7,7 @@ from .interlace import (InterlaceConfig, interlace_backward, interlace_forward,
 from .nets import offsetnet_forward, pool_descriptor, rescale_offsets, weightnet_forward
 from .synth import SynthTask, generate_task
 from .tcn import build_equiv_kernel, dense_tconv, run_equivalence_trials, verify_equivalence
-from .tensors import Rng, load_tensor, mean_over, rand_uniform, save_tensor, zeros
+from .tensors import Rng, load_tensor, rand_uniform, save_tensor
 from .training import TrainConfig, run_ablation, run_experiment, train
 
 __version__ = "0.1.0"
@@ -20,6 +20,6 @@ __all__ = [
     "TinBlock", "Chain", "make_toy_net", "cross_entropy",
     "build_equiv_kernel", "dense_tconv", "verify_equivalence", "run_equivalence_trials",
     "SynthTask", "generate_task", "TrainConfig", "train", "run_experiment", "run_ablation",
-    "Rng", "zeros", "rand_uniform", "mean_over", "save_tensor", "load_tensor",
+    "Rng", "rand_uniform", "save_tensor", "load_tensor",
     "__version__",
 ]

@@ -12,6 +12,8 @@ operators against each other, not against absolute times.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -52,9 +54,8 @@ def _interlace_counts(t, c, h, w, shift_fraction, g):
 def count_flops(op: str, **shape) -> FlopsReport:
     """Analytic multiply-add / FLOP / parameter counts for one operator.
 
-    Supported ops: interlace, tin_module, dense_tconv, conv2d, fc, pool.
-    Shapes use t, c, h, w plus op-specific keys (shift_fraction, g, k,
-    cin, cout, n_in, n_out).
+    Supported ops: interlace, tin_module, dense_tconv. Shapes use t, c, h, w
+    plus op-specific keys (shift_fraction, g, k).
     """
     if op == "interlace":
         t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
@@ -80,18 +81,6 @@ def count_flops(op: str, **shape) -> FlopsReport:
         k = shape.get("k", 3)
         per_elem = t * c * h * w
         return FlopsReport(op, shape, k * per_elem, (2 * k - 1) * per_elem, k * c)
-    if op == "conv2d":
-        t = shape.get("t", 1)
-        cin, cout, h, w = shape["cin"], shape["cout"], shape["h"], shape["w"]
-        k = shape.get("k", 1)
-        madds = t * k * k * cin * cout * h * w
-        return FlopsReport(op, shape, madds, 2 * madds, k * k * cin * cout + cout)
-    if op == "fc":
-        n_in, n_out = shape["n_in"], shape["n_out"]
-        return FlopsReport(op, shape, n_in * n_out, 2 * n_in * n_out, n_in * n_out + n_out)
-    if op == "pool":
-        t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
-        return FlopsReport(op, shape, 0, t * c * h * w + t * c, 0)
     raise ConfigError(f"unsupported op {op!r} for flops counting")
 
 
@@ -148,11 +137,6 @@ class LatencyReport:
     median_s: float
     p10_s: float
     p90_s: float
-
-    def to_dict(self) -> dict:
-        return {"op": self.op, "shape": self.shape, "precision": self.precision,
-                "reps": self.reps, "warmup": self.warmup, "median_s": self.median_s,
-                "p10_s": self.p10_s, "p90_s": self.p90_s}
 
 
 def _dtype_of(precision: str):
@@ -246,6 +230,18 @@ def bench_rows_to_csv(rows: list, path) -> None:
                              rep.shape["w"], rep.precision, rep.reps,
                              f"{rep.median_s:.9f}", f"{rep.p10_s:.9f}", f"{rep.p90_s:.9f}",
                              flops.madds, flops.flops, flops.params, CONVENTION])
+
+
+def environment_json() -> str:
+    """The interpreter, numpy, BLAS and thread settings a bench report ran under."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return json.dumps({
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "num_threads": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+    }, indent=2, sort_keys=True)
 
 
 def flops_summary() -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nets
 from .errors import ShapeError
-from .interlace import InterlaceConfig, interlace_backward, interlace_forward
+from .interlace import InterlaceConfig, interlace_backward, interlace_forward, shifts
 from .tensors import Rng, assert_finite
 
 
@@ -95,40 +95,43 @@ class ReLU(Layer):
         return grad_y * (y > 0.0), {}
 
 
+def _tap_band(taps: np.ndarray, t: int):
+    """The band sum over j of taps[..., j] * E[j - k//2], [..., T, T], and the shifts E [k, T, T].
+
+    taps[..., j] weights relative frame j - k//2, for an odd tap count k.
+    """
+    k = taps.shape[-1]
+    e = shifts(t, np.arange(k) - k // 2, taps.dtype)
+    return np.tensordot(taps, e, axes=1), e
+
+
 class TemporalConv(Layer):
     """Trainable per-channel temporal convolution with zero padding.
 
     taps[c] holds the kernel over relative frames [-(k//2), ..., k//2].
     Identity initialization (center tap 1) keeps insertion neutral. Channel
-    c is the T x T band B[c] = sum_j taps[c, j] * E[j - k//2], E[s][r, r + s] = 1,
-    rebuilt from the live taps on every call and applied by matmul on the
-    [N, C, T, H*W] view of x, as in interlace._band. The tape is the input x.
+    c is the T x T band _tap_band(taps)[c], rebuilt from the live taps on
+    every call and applied by matmul on the [N, C, T, H*W] view of x. The
+    tape is the input x.
     """
 
     def __init__(self, c: int, name: str, k: int = 3):
         if k % 2 != 1:
             raise ShapeError(f"temporal kernel size must be odd, got {k}")
         self.name = name
-        self.k = k
         self.taps = np.zeros((c, k))
         self.taps[:, k // 2] = 1.0
 
     def named_params(self):
         return {"taps": self.taps}
 
-    def _band(self, t: int):
-        """The band [C, T, T] and the shifts E [k, T, T] it sums."""
-        lag = np.arange(t)[None, :] - np.arange(t)[:, None]    # lag[r, s] = s - r
-        e = (lag == np.arange(self.k)[:, None, None] - self.k // 2).astype(self.taps.dtype)
-        return np.tensordot(self.taps, e, axes=1), e
-
     def forward(self, x):
         y = np.empty(x.shape, dtype=x.dtype)
-        np.matmul(self._band(x.shape[1])[0], _frames(x), out=_frames(y))
+        np.matmul(_tap_band(self.taps, x.shape[1])[0], _frames(x), out=_frames(y))
         return y, x
 
     def backward(self, grad_y, x):
-        band, e = self._band(x.shape[1])
+        band, e = _tap_band(self.taps, x.shape[1])
         g = _frames(grad_y)
         grad_x = np.empty(x.shape, dtype=grad_y.dtype)
         np.matmul(band.swapaxes(1, 2), g, out=_frames(grad_x))
@@ -142,23 +145,19 @@ def _frames(x: np.ndarray) -> np.ndarray:
 
 
 class SpatialPool(Layer):
-    """Per-frame pooling over the pixels: [N, T, C, H, W] -> [N, T, C].
+    """Per-frame max over the pixels: [N, T, C, H, W] -> [N, T, C].
 
-    The toy nets max-pool conv2's pre-activations. "max" keeps the response
-    of sparse localized patterns at full strength; "mean" dilutes it by H x W,
-    which starves the gradients upstream on blob-like data. Both are
-    order-free per frame, so neither can leak temporal information.
+    The toy nets max-pool conv2's pre-activations. The max keeps the
+    response of sparse localized patterns at full strength, where a mean
+    would dilute it by H x W and starve the gradients upstream on
+    blob-like data. It is order-free per frame, so it cannot leak temporal
+    information.
     """
 
-    def __init__(self, kind: str = "max", name: str = "spool"):
-        if kind not in ("mean", "max"):
-            raise ShapeError(f"unknown pool kind {kind!r}")
-        self.kind = kind
+    def __init__(self, name: str = "spool"):
         self.name = name
 
     def forward(self, x):
-        if self.kind == "mean":
-            return x.mean(axis=(3, 4)), (x.shape, None)
         n, t, c, h, w = x.shape
         flat = x.reshape(n, t, c, h * w)
         idx = np.argmax(flat, axis=3)
@@ -167,9 +166,6 @@ class SpatialPool(Layer):
     def backward(self, grad_y, tape):
         shape, idx = tape
         n, t, c, h, w = shape
-        if self.kind == "mean":
-            g = grad_y / (h * w)
-            return np.broadcast_to(g[..., None, None], shape).copy(), {}
         g = np.zeros((n, t, c, h * w))
         np.put_along_axis(g, idx[..., None], grad_y[..., None], axis=3)
         return g.reshape(shape), {}
@@ -193,7 +189,9 @@ class Conv1d(Layer):
     """Kernel-3 convolution over time with zero "same" padding.
 
     [N, Cin, T] -> [N, Cout, T]; w is [Cout, Cin, 3], b (optional) [Cout].
-    The tape is the padded input windows [N, Cin, T, 3].
+    The kernel is the band _tap_band(w), [Cout, Cin, T, T], laid out as one
+    [Cout*T, Cin*T] matrix and rebuilt from the live w on every call, so the
+    forward and the input gradient are one matmul each. The tape is x.
     """
 
     def __init__(self, cin: int, cout: int, rng: Rng, name: str, bias: bool = True,
@@ -202,27 +200,29 @@ class Conv1d(Layer):
         self.w = _uniform(rng, [cout, cin, 3], 3 * cin, scale)
         self.b = np.zeros(cout) if bias else None
 
+    def _matrix(self, t: int):
+        band, e = _tap_band(self.w, t)
+        cout, cin = self.w.shape[:2]
+        return band.swapaxes(1, 2).reshape(cout * t, cin * t), e
+
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"conv kernel {self.w.shape} incompatible with input {x.shape}")
-        n, cin, t = x.shape
-        xp = np.zeros((n, cin, t + 2), dtype=x.dtype)
-        xp[:, :, 1:-1] = x
-        windows = np.stack([xp[:, :, k:k + t] for k in range(3)], axis=-1)
-        y = np.einsum("nctk,gck->ngt", windows, self.w)
+        n, _, t = x.shape
+        y = (x.reshape(n, -1) @ self._matrix(t)[0].T).reshape(n, -1, t)
         if self.b is not None:
             y += self.b[None, :, None]
-        return y, windows
+        return y, x
 
-    def backward(self, grad_y, windows):
-        n, cin, t = windows.shape[:3]
-        grads = {"w": np.einsum("ngt,nctk->gck", grad_y, windows)}
+    def backward(self, grad_y, x):
+        n, cin, t = x.shape
+        a, e = self._matrix(t)
+        g = grad_y.reshape(n, -1)
+        gram = (g.T @ x.reshape(n, -1)).reshape(-1, t, cin, t)    # [Cout, T, Cin, T]
+        grads = {"w": np.einsum("orcs,jrs->ocj", gram, e)}
         if self.b is not None:
             grads["b"] = grad_y.sum(axis=(0, 2))
-        grad_xp = np.zeros((n, cin, t + 2), dtype=grad_y.dtype)
-        for k in range(3):
-            grad_xp[:, :, k:k + t] += np.einsum("ngt,gc->nct", grad_y, self.w[:, :, k])
-        return grad_xp[:, :, 1:-1], grads
+        return (g @ a).reshape(x.shape), grads
 
 
 class Sigmoid(Layer):
@@ -403,7 +403,7 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
         layers.append(TemporalConv(hidden, "tconv"))
     layers += [
         PointwiseConv2d(hidden, hidden, rng.child("conv2"), "conv2"),
-        SpatialPool("max"),
+        SpatialPool(),
         ReLU("relu2"),
         TemporalMean(),
         Linear(hidden, k_classes, rng.child("head"), "head", scale=head_scale),
@@ -417,9 +417,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     Returns (loss, grad_logits, n_correct). The gradient already carries
     the 1/N factor.
     """
-    n = logits.shape[0]
+    n, k = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels {labels.shape} do not match logits {logits.shape}")
+    if not np.all((labels >= 0) & (labels < k)):
+        raise ShapeError(f"labels must lie in [0, {k})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(logz - shifted[np.arange(n), labels]))

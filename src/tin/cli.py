@@ -275,6 +275,8 @@ def cmd_bench(args) -> int:
     bench_mod.bench_rows_to_csv(rows, os.path.join(out, "bench.csv"))
     with open(os.path.join(out, "flops.json"), "w") as fh:
         fh.write(bench_mod.flops_summary_json() + "\n")
+    with open(os.path.join(out, "env.json"), "w") as fh:
+        fh.write(bench_mod.environment_json() + "\n")
     write_config_echo(out, args)
     for rep, flops in rows:
         print(f"{rep.op:12s} {rep.precision}  median {rep.median_s * 1e3:8.3f} ms  "

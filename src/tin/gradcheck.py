@@ -14,7 +14,7 @@ the layers of the generator nets (conv1d.single_out, conv1d.multi_out, fc,
 sigmoid), both nets (offsetnet.params, weightnet.params and
 weightnet.channel_mean), each per-frame layer on its own
 (layer.pointwise_conv2d, layer.relu, layer.temporal_conv,
-layer.spatial_pool.max and .mean, layer.temporal_mean, layer.linear), the
+layer.spatial_pool.max, layer.temporal_mean, layer.linear), the
 block (tin_block) and a toy net (toy_net.end_to_end).
 """
 
@@ -315,8 +315,7 @@ def standard_checks(seed: int = 0) -> list:
             ("layer.pointwise_conv2d", pw, [2, 3, 3, 2, 2]),
             ("layer.relu", blocks.ReLU(), [2, 3, 4, 2, 2]),
             ("layer.temporal_conv", tconv, [2, 3, 4, 2, 2]),
-            ("layer.spatial_pool.max", blocks.SpatialPool("max"), [2, 3, 4, 3, 3]),
-            ("layer.spatial_pool.mean", blocks.SpatialPool("mean"), [2, 3, 4, 3, 3]),
+            ("layer.spatial_pool.max", blocks.SpatialPool(), [2, 3, 4, 3, 3]),
             ("layer.temporal_mean", blocks.TemporalMean(), [2, 3, 4]),
             ("layer.linear", blocks.Linear(4, 3, rng.child("linear"), "linear"), [2, 4])):
         checks.append(layer_check(name, layer, rng.child(name).uniform(shape, -1.0, 1.0)))

@@ -16,9 +16,9 @@ gradient in O is the right-hand sub-derivative (f = 0 convention); that
 kink is deliberate and flagged by the gradient checker.
 
 For one (clip, group) the resampling is the T x T matrix with two
-diagonals B = (1 - f) E[n0] + f E[n0 + 1], where E[k] has ones where
-column = row + k; rows of E that would read outside the clip are zero,
-which is the boundary buffer. With D = E[n0 + 1] - E[n0], x the
+diagonals B = (1 - f) E[n0] + f E[n0 + 1], where E[k] = shifts(T, k) has
+ones where column = row + k; rows of E that would read outside the clip
+are zero, which is the boundary buffer. With D = E[n0 + 1] - E[n0], x the
 [N, G, T, gs*H*W] view of the shifted channels, w the weights, g the
 output gradient on that view and M = x @ g^T its T x T Gram product:
 
@@ -113,8 +113,8 @@ def partition_channels(cfg: InterlaceConfig):
 def validate_offsets(offsets: np.ndarray, cfg: InterlaceConfig) -> None:
     if offsets.shape[-1] != cfg.g:
         raise ShapeError(f"offsets have {offsets.shape[-1]} entries, config has g={cfg.g}")
-    assert_finite(offsets, "offsets")
-    if np.any(np.abs(offsets) >= cfg.t / 2):
+    if not np.all(np.abs(offsets) < cfg.t / 2):       # False for NaN too
+        assert_finite(offsets, "offsets")
         raise ShapeError(f"offset out of range (-{cfg.t / 2}, {cfg.t / 2})")
     if cfg.mirror and cfg.g:
         h = cfg.g // 2
@@ -125,8 +125,8 @@ def validate_offsets(offsets: np.ndarray, cfg: InterlaceConfig) -> None:
 def validate_weights(weights: np.ndarray, cfg: InterlaceConfig) -> None:
     if weights.shape[-2:] != (cfg.g, cfg.t):
         raise ShapeError(f"weights shaped {weights.shape}, expected (..., {cfg.g}, {cfg.t})")
-    assert_finite(weights, "attention weights")
-    if np.any(weights <= 0.0) or np.any(weights >= 2.0):
+    if not np.all((weights > 0.0) & (weights < 2.0)):    # False for NaN too
+        assert_finite(weights, "attention weights")
         raise ShapeError("attention weights must lie strictly inside (0, 2)")
 
 
@@ -146,17 +146,27 @@ class InterlaceTape:
     consumed: bool = field(default=False)
 
 
+def shifts(t: int, lags, dtype=np.float64) -> np.ndarray:
+    """The T x T shift matrix E[k] for every lag k: [...] -> [..., T, T].
+
+    E[k][r, r + k] = 1, and rows that would read outside the clip are zero,
+    so a lag at or beyond +-T gives the zero matrix. Every band in the fast
+    path (interlace, blocks.TemporalConv, blocks.Conv1d) is built from these.
+    """
+    lag = np.arange(t)[None, :] - np.arange(t)[:, None]    # lag[r, s] = s - r
+    return (lag == np.asarray(lags)[..., None, None]).astype(dtype)
+
+
 def _band(offsets: np.ndarray, t: int) -> np.ndarray:
     """The stacked pair [B, D] for every offset: [...] -> [..., 2, T, T].
 
     B resamples time at the offset and D is its right-hand derivative in
     the offset (see the module docstring); both in the offsets' dtype.
     """
-    n0 = np.floor(offsets)[..., None, None]
-    f = offsets[..., None, None] - n0
-    lag = np.arange(t)[None, :] - np.arange(t)[:, None]    # lag[r, s] = s - r
-    e0 = (lag == n0).astype(offsets.dtype)
-    e1 = (lag == n0 + 1).astype(offsets.dtype)
+    n0 = np.floor(offsets)
+    f = (offsets - n0)[..., None, None]
+    e0 = shifts(t, n0, offsets.dtype)
+    e1 = shifts(t, n0 + 1, offsets.dtype)
     return np.stack([(1.0 - f) * e0 + f * e1, e1 - e0], axis=-3)
 
 
@@ -182,7 +192,8 @@ def _grouped(x: np.ndarray, cfg: InterlaceConfig) -> np.ndarray:
 def _sample_band(u: np.ndarray, offset: float) -> np.ndarray:
     """[B, D] for temporal_sample, in u's float precision."""
     t = u.shape[0]
-    if not abs(offset) < t / 2:
+    if not abs(offset) < t / 2:                       # False for NaN too
+        assert_finite(np.asarray(offset), "offset")
         raise ShapeError(f"|offset| = {abs(offset)} must be < T/2 = {t / 2}")
     return _band(np.asarray(offset, dtype=np.result_type(u, 0.0)), t)
 

@@ -78,7 +78,8 @@ def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
     are consumed; the second half of the result is their exact negation.
     """
     raw = np.asarray(raw)
-    if np.any(raw <= 0.0) or np.any(raw >= 1.0):
+    if not np.all((raw > 0.0) & (raw < 1.0)):       # False for NaN too
+        assert_finite(raw, "raw offsets")
         raise ShapeError("raw offsets must lie strictly inside (0, 1)")
     g = raw.shape[-1]
     if mirror:

@@ -1,4 +1,4 @@
-"""Dense float tensors, seeded RNG, reductions, and binary round-trip IO.
+"""Dense float tensors, seeded RNG, finiteness checks, and binary round-trip IO.
 
 Feature maps are plain numpy arrays in row-major (C) order, float64 by
 default; float32 is available for benchmarking only. The axis order is
@@ -62,12 +62,6 @@ def _checked_numel(shape) -> int:
     return n
 
 
-def zeros(shape, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """All-zero tensor with the given extents."""
-    _checked_numel(shape)
-    return np.zeros(tuple(int(e) for e in shape), dtype=dtype)
-
-
 def rand_uniform(shape, rng: Rng, lo: float = 0.0, hi: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Uniform values in [lo, hi), deterministic under the rng's seed."""
     if not lo < hi:
@@ -80,19 +74,6 @@ def rand_uniform(shape, rng: Rng, lo: float = 0.0, hi: float = 1.0, dtype=DEFAUL
     return out.astype(dtype, copy=False)
 
 
-def mean_over(x: np.ndarray, axes) -> np.ndarray:
-    """Arithmetic mean over the named axes; the result drops those axes."""
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    for a in axes:
-        if not -x.ndim <= a < x.ndim:
-            raise ShapeError(f"axis {a} invalid for shape {x.shape}")
-        if x.shape[a] == 0:
-            raise ShapeError(f"cannot reduce zero-extent axis {a} of shape {x.shape}")
-    if len(set(a % x.ndim for a in axes)) != len(axes):
-        raise ShapeError(f"duplicate axes {axes}")
-    return np.mean(x, axis=axes)
-
-
 def assert_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     # fast path: a single reduction, into which any NaN/Inf propagates; a
     # non-finite sum of finite values (overflow) is settled elementwise
@@ -103,20 +84,8 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def flat_index(shape, multi) -> int:
-    """Row-major flat index of a multi-index."""
-    if len(multi) != len(shape):
-        raise ShapeError(f"multi-index {multi} does not match rank of {tuple(shape)}")
-    idx = 0
-    for e, i in zip(shape, multi):
-        if not 0 <= i < e:
-            raise ShapeError(f"index {multi} out of bounds for shape {tuple(shape)}")
-        idx = idx * e + i
-    return idx
-
-
 def multi_index(shape, flat: int):
-    """Inverse of flat_index."""
+    """The row-major multi-index of a flat index, as np.unravel_index gives it."""
     n = _checked_numel(shape)
     if not 0 <= flat < max(n, 1):
         raise ShapeError(f"flat index {flat} out of bounds for shape {tuple(shape)}")

@@ -36,6 +36,10 @@ class TrainConfig:
     # optional: finish early once validation accuracy reaches this level
     stop_at_val_acc: float | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
         for m in self.lr_decay_epochs:

@@ -129,6 +129,62 @@ def test_temporal_conv_reads_its_live_taps():
     assert abs(np.sum(y1 * g) - np.sum(x * grad_x)) < 1e-12
 
 
+def _conv1d_loop(x, w, b):
+    """y[n, o, t] = b[o] + sum over c, j of w[o, c, j] x[n, c, t + j - 1], zero outside the clip."""
+    n, cin, t = x.shape
+    y = np.zeros((n, w.shape[0], t))
+    for i in range(n):
+        for o in range(w.shape[0]):
+            for s in range(t):
+                acc = 0.0 if b is None else b[o]
+                for c in range(cin):
+                    for j in range(3):
+                        if 0 <= s + j - 1 < t:
+                            acc += w[o, c, j] * x[i, c, s + j - 1]
+                y[i, o, s] = acc
+    return y
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("cin, cout", [(1, 2), (5, 1), (5, 4)])
+@pytest.mark.parametrize("t", [1, 2, 8])
+def test_conv1d_matches_loop_oracle_and_its_backward_is_the_adjoint(t, cin, cout, bias):
+    rng = Rng(1000 + 100 * t + 10 * cin + cout)
+    conv = blocks.Conv1d(cin, cout, rng.child("w"), "conv", bias=bias, scale=1.0)
+    if bias:
+        conv.b[:] = rng.child("b").uniform([cout], -1.0, 1.0)
+    x = rng.child("x").uniform([3, cin, t], -1.0, 1.0)
+    g = rng.child("g").uniform([3, cout, t], -1.0, 1.0)
+    y, tape = conv.forward(x)
+    assert np.max(np.abs(y - _conv1d_loop(x, conv.w, conv.b))) < 1e-12
+    grad_x, grads = conv.backward(g, tape)
+    assert grads.keys() == ({"w", "b"} if bias else {"w"})
+    # the bias-free map is linear in x and in w: <y, g> = <x, grad_x> = <w, grad_w>
+    y0 = y - (conv.b[None, :, None] if bias else 0.0)
+    assert abs(np.sum(y0 * g) - np.sum(x * grad_x)) < 1e-12
+    assert abs(np.sum(y0 * g) - np.sum(conv.w * grads["w"])) < 1e-12
+    if bias:
+        assert np.max(np.abs(grads["b"] - g.sum(axis=(0, 2)))) < 1e-12
+
+
+def test_conv1d_reads_its_live_weights():
+    # the generator nets and the gradient checker write through
+    # named_params() in place; the next forward and backward must see it
+    rng = Rng(21)
+    conv = blocks.Conv1d(3, 2, rng.child("w"), "conv")
+    x = rng.child("x").uniform([2, 3, 8], -1.0, 1.0)
+    y0, _ = conv.forward(x)
+    conv.named_params()["w"][1, 2, 0] += 0.5          # output 1, input 2, frame t - 1
+    y1, tape = conv.forward(x)
+    want = np.zeros_like(y0)
+    want[:, 1, 1:] = 0.5 * x[:, 2, :-1]
+    assert np.max(np.abs(y1 - y0 - want)) < 1e-15
+    assert np.max(np.abs(y1 - _conv1d_loop(x, conv.w, conv.b))) < 1e-12
+    g = rng.child("g").uniform([2, 2, 8], -1.0, 1.0)
+    grad_x, _ = conv.backward(g, tape)
+    assert abs(np.sum(y1 * g) - np.sum(x * grad_x)) < 1e-12
+
+
 def _arrays(obj) -> list:
     """Every array held in a tape: in dicts, lists, tuples and object attributes."""
     if isinstance(obj, np.ndarray):
@@ -171,27 +227,27 @@ def test_no_layer_writes_into_its_input_gradient_or_tape(temporal):
         g = grad_x
 
 
-def test_spatial_pool_kinds():
+def test_spatial_pool_takes_the_per_frame_max():
     x = Rng(9).uniform([2, 3, 4, 5, 5], -1.0, 1.0)
-    mean_y, _ = SpatialPool("mean").forward(x)
-    max_y, _ = SpatialPool("max").forward(x)
-    assert mean_y.shape == max_y.shape == (2, 3, 4)
-    assert np.allclose(mean_y, x.mean(axis=(3, 4)), atol=0)
-    assert np.allclose(max_y, x.max(axis=(3, 4)), atol=0)
-    with pytest.raises(ShapeError):
-        SpatialPool("median")
+    y, _ = SpatialPool().forward(x)
+    assert y.shape == (2, 3, 4)
+    assert np.array_equal(y, x.max(axis=(3, 4)))
 
 
 def test_spatial_pool_backward_routes_correctly():
     rng = Rng(10)
     x = rng.uniform([1, 2, 2, 3, 3], -1.0, 1.0)
-    for kind in ("mean", "max"):
-        pool = SpatialPool(kind)
-        y, tape = pool.forward(x)
-        g = rng.child(kind).uniform(y.shape, -1.0, 1.0)
-        gx, _ = pool.backward(g, tape)
-        assert gx.shape == x.shape
-        assert abs(gx.sum() - g.sum()) < 1e-12  # both pools conserve total gradient
+    pool = SpatialPool()
+    y, tape = pool.forward(x)
+    g = rng.child("max").uniform(y.shape, -1.0, 1.0)
+    gx, _ = pool.backward(g, tape)
+    assert gx.shape == x.shape
+    assert abs(gx.sum() - g.sum()) < 1e-12  # the pool conserves total gradient
+    for t in range(2):
+        for c in range(2):                 # all of it lands on the frame's maximum
+            want = np.zeros(9)
+            want[np.argmax(x[0, t, c])] = g[0, t, c]
+            assert np.array_equal(gx[0, t, c].reshape(-1), want)
 
 
 def test_toy_net_drop_in_neutrality():
@@ -298,6 +354,13 @@ def test_cross_entropy_extreme_logits_stable():
     loss, grad, correct = cross_entropy(logits, np.array([0, 1]))
     assert np.isfinite(loss) and loss < 1e-6
     assert correct == 2
+
+
+def test_cross_entropy_rejects_out_of_range_labels():
+    # numpy indexing would raise IndexError for K, and score -1 as class K - 1
+    for labels in ([0, 3], [-1, 0]):
+        with pytest.raises(ShapeError):
+            cross_entropy(np.zeros((2, 3)), np.array(labels))
 
 
 def test_offset_gradient_nonzero_on_ordered_data():

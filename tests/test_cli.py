@@ -100,6 +100,10 @@ def test_bench_subcommand(tmp_path, capsys):
     assert len(lines) == 4  # header + three operators
     assert "interlace" in lines[1]
     assert (tmp_path / "flops.json").exists()
+    env = json.loads((tmp_path / "env.json").read_text())
+    assert env.keys() == {"python", "numpy", "blas", "cpu_count", "num_threads"}
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert all(k.endswith("_NUM_THREADS") for k in env["num_threads"])
 
 
 def test_demo_prints_taps_and_kernel(tmp_path, capsys):
@@ -170,8 +174,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     (["train"], "epochs = abc\n"),
     (["ablate", "--seeds", "0,x"], None),
     (["equiv"], "command = train\n"),
+    (["train", "--batch-size", "0", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"],
+     None),
 ], ids=["demo-offset-out-of-range", "train-hidden-indivisible", "config-file-bad-int",
-        "ablate-bad-seed", "config-file-command-key"])
+        "ablate-bad-seed", "config-file-command-key", "train-batch-size-zero"])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "run.cfg"

@@ -80,7 +80,7 @@ def test_registry_covers_every_operator():
                      "cross_entropy",
                      "tin_block", "toy_net.end_to_end", "layer.pointwise_conv2d",
                      "layer.relu", "layer.temporal_conv", "layer.spatial_pool.max",
-                     "layer.spatial_pool.mean", "layer.temporal_mean", "layer.linear"):
+                     "layer.temporal_mean", "layer.linear"):
         assert expected in names
 
 

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tin.errors import ShapeError
+from tin.errors import NonFiniteError, ShapeError
 from tin.interlace import (InterlaceConfig, interlace_backward, interlace_forward,
-                           partition_channels, temporal_sample, temporal_sample_vjp)
+                           partition_channels, shifts, temporal_sample, temporal_sample_vjp)
 from tin.tensors import Rng
 
 
@@ -113,6 +113,28 @@ def test_sample_rejects_half_clip_offset():
         temporal_sample(u, 4.0)
     with pytest.raises(ShapeError):
         temporal_sample(u, -4.0)
+
+
+def test_sample_rejects_a_non_finite_offset():
+    u = np.zeros((8, 1, 1, 1))
+    for offset in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            temporal_sample(u, offset)
+        with pytest.raises(NonFiniteError):
+            temporal_sample_vjp(u, offset, u)
+
+
+@pytest.mark.parametrize("t", [1, 2, 8])
+def test_shifts_put_lag_k_on_the_kth_diagonal_and_nothing_beyond_the_clip(t):
+    lags = np.arange(-t - 2, t + 3)
+    e = shifts(t, lags)
+    assert e.shape == (len(lags), t, t)
+    for k, ek in zip(lags, e):
+        assert np.array_equal(ek, np.eye(t, k=k))
+        if abs(k) >= t:
+            assert not ek.any()
+    assert shifts(t, [[0, 1]], np.float32).shape == (1, 2, t, t)
+    assert shifts(t, 0, np.float32).dtype == np.float32
 
 
 def test_sample_linearity():

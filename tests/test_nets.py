@@ -3,7 +3,7 @@ import pytest
 
 from tin import nets
 from tin.blocks import OffsetNet, ReLU, WeightNet
-from tin.errors import ShapeError
+from tin.errors import NonFiniteError, ShapeError
 from tin.nets import (offsetnet_forward, pool_descriptor, pool_descriptor_vjp, rescale_offsets,
                       rescale_offsets_vjp, weightnet_forward)
 from tin.tensors import Rng
@@ -150,6 +150,13 @@ def test_rescale_rejects_out_of_range():
         rescale_offsets(np.array([0.0]), 8, False)
     with pytest.raises(ShapeError):
         rescale_offsets(np.array([1.0]), 8, False)
+
+
+def test_rescale_rejects_non_finite_raw_offsets():
+    for bad in (np.nan, np.inf):
+        for mirror in (False, True):
+            with pytest.raises(NonFiniteError):
+                rescale_offsets(np.array([bad, 0.5]), 8, mirror)
 
 
 def test_rescale_vjp_plain_and_mirror():

@@ -1,33 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from tin.errors import NonFiniteError, ShapeError
-from tin.tensors import (Rng, assert_finite, flat_index, load_tensor, mean_over, multi_index,
-                         rand_uniform, save_tensor, zeros)
-
-
-def test_zeros_basic():
-    z = zeros([2, 3])
-    assert z.shape == (2, 3)
-    assert np.count_nonzero(z) == 0
-
-
-def test_zeros_degenerate_extent():
-    assert zeros([0]).shape == (0,)
-    assert zeros([0]).size == 0
-
-
-def test_zeros_sum_identity():
-    assert zeros([8, 4, 2, 2]).sum() == 0.0
-
-
-def test_zeros_rejects_negative_and_overflow():
-    with pytest.raises(ShapeError):
-        zeros([-1, 2])
-    with pytest.raises(ShapeError):
-        zeros([2**32, 2**32])
+from tin.tensors import (Rng, assert_finite, load_tensor, multi_index, rand_uniform,
+                         save_tensor)
 
 
 def test_rand_uniform_deterministic():
@@ -61,58 +37,21 @@ def test_rng_child_streams_differ_and_reproduce():
     assert np.array_equal(a, Rng(9).child("a").uniform([5]))
 
 
-def test_mean_over_arithmetic():
-    m = mean_over(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
-    assert np.allclose(m, [1.5, 3.5], atol=0)
-
-
-def test_mean_over_constant():
-    x = np.full((3, 4, 2), 7.25)
-    m = mean_over(x, (1, 2))
-    assert m.shape == (3,)
-    assert np.all(m == 7.25)
-
-
-def test_mean_over_matches_loop_oracle():
-    rng = Rng(5)
-    x = rng.uniform([4, 3, 5, 5], -1.0, 1.0)
-    m = mean_over(x, (2, 3))
-    ref = np.zeros((4, 3))
-    for i in range(4):
-        for j in range(3):
-            acc = 0.0
-            for a in range(5):
-                for b in range(5):
-                    acc += x[i, j, a, b]
-            ref[i, j] = acc / 25.0
-    assert np.max(np.abs(m - ref)) < 1e-12
-
-
-def test_mean_over_all_axes_equals_sum_over_numel():
-    x = Rng(6).uniform([5, 4, 3], -2.0, 2.0)
-    m = mean_over(x, (0, 1, 2))
-    assert abs(m - x.sum() / x.size) < 1e-12
-
-
-def test_mean_over_rejects_zero_extent_axis():
+def test_rand_uniform_rejects_negative_and_overflow():
     with pytest.raises(ShapeError):
-        mean_over(np.zeros((3, 0)), 1)
+        rand_uniform([-1, 2], Rng(0))
+    with pytest.raises(ShapeError):
+        rand_uniform([2**32, 2**32], Rng(0))
+    assert rand_uniform([0], Rng(0)).shape == (0,)
 
 
-def test_flat_index_round_trip_exhaustive_small_shapes():
+def test_multi_index_matches_numpy_unravel_index():
     shapes = [(2,), (2, 3), (2, 1, 3), (2, 2, 2, 2), (1, 2, 3, 1, 2)]
     for shape in shapes:
-        for multi in itertools.product(*(range(e) for e in shape)):
-            flat = flat_index(shape, multi)
-            assert multi_index(shape, flat) == multi
-        n = int(np.prod(shape))
-        assert sorted(flat_index(shape, m) for m in
-                      itertools.product(*(range(e) for e in shape))) == list(range(n))
-
-
-def test_flat_index_matches_numpy_layout():
-    x = np.arange(24.0).reshape(2, 3, 4)
-    assert x.reshape(-1)[flat_index(x.shape, (1, 2, 3))] == x[1, 2, 3]
+        for flat in range(int(np.prod(shape))):
+            assert multi_index(shape, flat) == tuple(int(i) for i in np.unravel_index(flat, shape))
+        with pytest.raises(ShapeError):
+            multi_index(shape, int(np.prod(shape)))
 
 
 def test_assert_finite_raises():

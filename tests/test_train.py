@@ -70,6 +70,13 @@ def test_training_is_bit_deterministic():
     assert [e.train_loss for e in a.epochs] == [e.train_loss for e in b.epochs]
 
 
+def test_train_config_rejects_a_batch_size_below_one():
+    # range() rejects a step of 0 with a bare ValueError, and a negative step trains nothing
+    for size in (0, -1):
+        with pytest.raises(ConfigError):
+            TrainConfig(batch_size=size)
+
+
 def test_lr_schedule_decays_at_milestones():
     cfg = TrainConfig(lr=1.0, lr_decay_epochs=(2, 4), lr_decay_factor=0.1, epochs=6)
     got = [cfg.lr_at(e) for e in range(6)]
