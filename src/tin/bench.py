@@ -151,6 +151,8 @@ def make_op(op: str, t: int, c: int, h: int, w: int, precision: str = "f64",
             seed: int = 0, shift_fraction: float = 0.25, g: int = 4,
             identity: bool = False):
     """Build a zero-argument callable computing the operator on fixed data."""
+    if min(t, c, h, w) < 1:
+        raise ConfigError(f"benchmark shape needs every extent >= 1, got t={t} c={c} h={h} w={w}")
     dtype = _dtype_of(precision)
     rng = Rng(seed)
     u = rng.uniform([t, c, h, w], -1.0, 1.0).astype(dtype)

@@ -65,6 +65,8 @@ class PointwiseConv2d(Linear):
     """The linear map applied at every pixel of every frame: a 1x1 convolution."""
 
     def forward(self, x):
+        if x.ndim != 5 or x.shape[2] != self.w.shape[1]:
+            raise ShapeError(f"1x1 conv with {self.w.shape[1]} input channels got input {x.shape}")
         n, t, c, h, w = x.shape
         x3 = np.ascontiguousarray(x).reshape(n * t, c, h * w)
         y = np.matmul(self.w, x3)
@@ -390,6 +392,8 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
     """
     if temporal not in ("tin", "tcn", "none"):
         raise ShapeError(f"unknown temporal layer kind {temporal!r}")
+    if hidden < 1:
+        raise ShapeError(f"hidden width must be at least 1, got {hidden}")
     layers: list[Layer] = [
         PointwiseConv2d(cin, hidden, rng.child("conv1"), "conv1"),
         ReLU("relu1"),

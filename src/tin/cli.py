@@ -1,8 +1,8 @@
 """Command-line entry point wiring every module together.
 
-Subcommands: gradcheck, equiv, train, ablate, bench, demo. Options can
-come from a flat key = value config file (--config); command-line flags
-override file values, unknown keys are hard errors. Every run that writes
+Subcommands: gradcheck, equiv, train, ablate, bench, demo. A flat
+key = value config file (--config) holds the subcommand's own flags by
+dest, read before the command line's, whose flags win. Every run that writes
 results also writes a config echo next to them. Exit codes: 0 all gates
 passed, 1 a verification gate failed, 2 configuration error, 3 numeric
 non-finite values.
@@ -11,6 +11,8 @@ non-finite values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import os
 import sys
 
@@ -30,76 +32,60 @@ EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 
 
-def parse_config_file(path: str) -> dict:
+def _parse_list(text: str, kind, what: str) -> tuple:
+    """A comma-separated list of numbers, e.g. --seeds 0,1,2."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{what}: expected comma-separated {kind.__name__}s, got {text!r}") from None
+
+
+def config_flags(path: str, sub: argparse.ArgumentParser) -> list:
+    """A flat key = value file as the subcommand's own flags; each key is an option's dest.
+
+    A switch takes true or false; any other option takes what its flag takes.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    out = {}
+    values = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
+            if line and "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        if value.lower() in ("1", "true", "on", "yes"):
-            return True
-        if value.lower() in ("0", "false", "off", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
-    if isinstance(like, (int, float)):
-        return _parse_number(value, type(like), "config file value")
-    return value
-
-
-def _parse_number(text: str, kind, what: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from None
-
-
-def _parse_list(text: str, kind, what: str) -> tuple:
-    """A comma-separated list of numbers, e.g. --seeds 0,1,2."""
-    return tuple(_parse_number(x, kind, what) for x in text.split(","))
-
-
-def apply_config_file(args: argparse.Namespace, given: set) -> None:
-    """File values fill any option not given on the command line; flags win.
-
-    given holds the destinations of the options on the command line; every
-    other option still holds its default, which sets the file value's type.
-    """
-    if not getattr(args, "config", None):
-        return
-    for key, raw in parse_config_file(args.config).items():
-        if key in ("config", "command") or not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r} for this subcommand")
-        if key not in given:
-            like = getattr(args, key)
-            setattr(args, key, _coerce(raw, like if like is not None else ""))
+            if line:
+                key, _, value = line.partition("=")
+                values[key.strip()] = value.strip()
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    flags = []
+    for key, value in values.items():
+        if key not in actions:
+            raise ConfigError(f"{path}: unknown config key {key!r} for this subcommand")
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
+        elif value != "false":
+            raise ConfigError(f"{path}: {key} is a switch: expected true or false, got {value!r}")
+    return flags
 
 
 def resolve_out_dir(args: argparse.Namespace) -> str:
-    out = getattr(args, "out", None) or os.environ.get("TIN_RESULTS_DIR") \
-        or os.path.join("results", args.command)
+    out = args.out or os.environ.get("TIN_RESULTS_DIR") or os.path.join("results", args.command)
     os.makedirs(out, exist_ok=True)
     return out
 
 
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text + "\n")
+
+
 def write_config_echo(out_dir: str, args: argparse.Namespace) -> None:
-    skip = {"config", "func"}
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            fh.write(f"{key} = {getattr(args, key)}\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in sorted(vars(args).items())
+                      if key not in ("config", "func"))
 
 
 def _mirror_flag(value: str) -> bool:
@@ -115,59 +101,67 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification oracles, a synthetic lab, and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output directory (default $TIN_RESULTS_DIR or ./results/<cmd>)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--verbose", action="store_true")
 
+    # train and ablate take their defaults from the library
+    cfg, task = train_mod.TrainConfig, synth.SynthTask
+    net, grid = (inspect.signature(f).parameters for f in (train_mod.build_net, train_mod.run_ablation))
+
     p = sub.add_parser("equiv", help="check the operator against its 2-tap convolution form")
-    common(p)
+    common(p, cmd_equiv)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every backward pass")
-    common(p)
+    common(p, cmd_gradcheck)
     p.add_argument("--all", action="store_true",
                    help="accepted for clarity; the full registry always runs")
     p.add_argument("--max-coords", type=int, default=256, dest="max_coords")
 
     p = sub.add_parser("train", help="train a toy net on a synthetic temporal task")
-    common(p)
-    p.add_argument("--task", default="direction2", choices=list(synth.TASKS))
+    common(p, cmd_train)
+    p.add_argument("--task", default=task.task, choices=list(synth.TASKS))
     p.add_argument("--temporal", default="tin", choices=["tin", "tcn", "none"])
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-4, dest="weight_decay")
-    p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--train-clips", type=int, default=2000, dest="train_clips")
-    p.add_argument("--val-clips", type=int, default=500, dest="val_clips")
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--groups", type=int, default=2,
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--momentum", type=float, default=cfg.momentum)
+    p.add_argument("--weight-decay", type=float, default=cfg.weight_decay, dest="weight_decay")
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size, dest="batch_size")
+    p.add_argument("--hidden", type=int, default=net["hidden"].default)
+    p.add_argument("--train-clips", type=int, default=task.train_clips, dest="train_clips")
+    p.add_argument("--val-clips", type=int, default=task.val_clips, dest="val_clips")
+    p.add_argument("--noise", type=float, default=task.noise)
+    p.add_argument("--groups", type=int, default=net["learned_groups"].default,
                    help="learned offset groups; mirroring doubles the total")
-    p.add_argument("--mirror", type=_mirror_flag, default=True)
-    p.add_argument("--shift-fraction", type=float, default=0.25, dest="shift_fraction")
+    p.add_argument("--mirror", type=_mirror_flag, default=net["mirror"].default)
+    p.add_argument("--shift-fraction", type=float, default=net["shift_fraction"].default,
+                   dest="shift_fraction")
     p.add_argument("--weight-all-channels", action="store_true", dest="weight_all_channels")
-    p.add_argument("--weightnet-input", default="descriptor",
+    p.add_argument("--weightnet-input", default=net["weightnet_input"].default,
                    choices=nets.WEIGHTNET_INPUTS, dest="weightnet_input")
     p.add_argument("--cache-data", action="store_true", dest="cache_data",
                    help="also write the generated clips in the binary tensor format")
 
     p = sub.add_parser("ablate", help="group-count x mirroring grid with a blind floor")
-    common(p)
-    p.add_argument("--task", default="direction2", choices=list(synth.TASKS))
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--train-clips", type=int, default=2000, dest="train_clips")
-    p.add_argument("--val-clips", type=int, default=500, dest="val_clips")
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list (>= 3)")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--shift-fraction", type=float, default=0.25, dest="shift_fraction")
+    common(p, cmd_ablate)
+    p.add_argument("--task", default=task.task, choices=list(synth.TASKS))
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--train-clips", type=int, default=task.train_clips, dest="train_clips")
+    p.add_argument("--val-clips", type=int, default=task.val_clips, dest="val_clips")
+    p.add_argument("--seeds", default=",".join(map(str, grid["seeds"].default)),
+                   help="comma-separated seed list (>= 3 distinct)")
+    p.add_argument("--hidden", type=int, default=grid["hidden"].default)
+    p.add_argument("--shift-fraction", type=float, default=grid["shift_fraction"].default,
+                   dest="shift_fraction")
 
     p = sub.add_parser("bench", help="analytic FLOPs plus measured latency")
-    common(p)
+    common(p, cmd_bench)
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--c", type=int, default=256)
     p.add_argument("--hw", type=int, default=14)
@@ -175,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", default="both", choices=["f32", "f64", "both"])
 
     p = sub.add_parser("demo", help="numeric walkthrough of the sampling pipeline")
-    common(p)
+    common(p, cmd_demo)
     p.add_argument("--offsets", default="0,1.3", help="comma-separated per-group offsets")
     p.add_argument("--dump", help="write the demo input tensor to this path")
     p.add_argument("--load", help="read the demo input tensor from this path")
@@ -189,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_equiv(args) -> int:
     report = tcn.run_equivalence_trials(args.trials, args.seed, args.tol)
     out = resolve_out_dir(args)
-    with open(os.path.join(out, "equiv_report.json"), "w") as fh:
-        fh.write(report.to_json() + "\n")
+    _write(out, "equiv_report.json", report.to_json())
     write_config_echo(out, args)
     print(f"equivalence: {report.trials} trials, max |diff| = {report.max_abs_diff:.3e}, "
           f"tol = {report.tol:.1e} -> {'PASS' if report.passed else 'FAIL'}")
@@ -200,8 +193,7 @@ def cmd_equiv(args) -> int:
 def cmd_gradcheck(args) -> int:
     reports = gradcheck_mod.run_standard_checks(args.seed, args.max_coords)
     out = resolve_out_dir(args)
-    with open(os.path.join(out, "gradcheck_report.json"), "w") as fh:
-        fh.write(gradcheck_mod.reports_to_json(reports) + "\n")
+    _write(out, "gradcheck_report.json", gradcheck_mod.reports_to_json(reports))
     write_config_echo(out, args)
     ok = True
     for name in sorted(reports):
@@ -213,18 +205,18 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_GATE_FAILED
 
 
-def _task_from_args(args) -> synth.SynthTask:
-    return synth.SynthTask(task=args.task, w=synth.default_width(args.task),
-                           noise=getattr(args, "noise", 0.02),
-                           seed=args.seed, train_clips=args.train_clips,
-                           val_clips=args.val_clips)
+def _from_args(cls, args):
+    """The dataclass cls built from those of the subcommand's options that are its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args})
 
 
 def cmd_train(args) -> int:
-    spec = _task_from_args(args)
-    cfg = train_mod.TrainConfig(lr=args.lr, momentum=args.momentum,
-                                weight_decay=args.weight_decay, epochs=args.epochs,
-                                batch_size=args.batch_size, seed=args.seed)
+    spec = _from_args(synth.SynthTask, args)
+    cfg = _from_args(train_mod.TrainConfig, args)
+    net = train_mod.build_net(spec, args.temporal, args.seed, hidden=args.hidden,
+                              learned_groups=args.groups, mirror=args.mirror,
+                              shift_fraction=args.shift_fraction, weightnet_input=args.weightnet_input,
+                              weight_all_channels=args.weight_all_channels)
     out = resolve_out_dir(args)
     train_data, val_data = train_mod.task_data(spec)
     if args.cache_data:
@@ -232,14 +224,8 @@ def cmd_train(args) -> int:
         os.makedirs(cache, exist_ok=True)
         save_tensor(os.path.join(cache, "train_clips.tnsr"), train_data.clips)
         save_tensor(os.path.join(cache, "val_clips.tnsr"), val_data.clips)
-    net = train_mod.build_net(spec, args.temporal, args.seed, hidden=args.hidden,
-                              learned_groups=args.groups, mirror=args.mirror,
-                              shift_fraction=args.shift_fraction,
-                              weightnet_input=args.weightnet_input,
-                              weight_all_channels=args.weight_all_channels)
     record = train_mod.train(net, train_data, val_data, cfg)
-    with open(os.path.join(out, "record.json"), "w") as fh:
-        fh.write(record.to_json() + "\n")
+    _write(out, "record.json", record.to_json())
     train_mod.log_trajectories(record, os.path.join(out, "trajectories.csv"))
     write_config_echo(out, args)
     for e in record.epochs:
@@ -253,13 +239,13 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
-    cfg = train_mod.TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
-    rows = train_mod.run_ablation(_task_from_args(args), cfg, seeds=seeds, hidden=args.hidden,
+    spec = _from_args(synth.SynthTask, args)
+    cfg = _from_args(train_mod.TrainConfig, args)
+    rows = train_mod.run_ablation(spec, cfg, seeds=seeds, hidden=args.hidden,
                                   shift_fraction=args.shift_fraction)
     out = resolve_out_dir(args)
     train_mod.ablation_to_csv(rows, os.path.join(out, "ablation.csv"))
-    with open(os.path.join(out, "ablation.json"), "w") as fh:
-        fh.write(train_mod.ablation_to_json(rows) + "\n")
+    _write(out, "ablation.json", train_mod.ablation_to_json(rows))
     write_config_echo(out, args)
     for r in rows:
         label = "disabled" if r.groups is None else f"g={r.groups} mirror={'on' if r.mirror else 'off'}"
@@ -273,10 +259,8 @@ def cmd_bench(args) -> int:
                                      precisions=precisions, reps=args.reps, seed=args.seed)
     out = resolve_out_dir(args)
     bench_mod.bench_rows_to_csv(rows, os.path.join(out, "bench.csv"))
-    with open(os.path.join(out, "flops.json"), "w") as fh:
-        fh.write(bench_mod.flops_summary_json() + "\n")
-    with open(os.path.join(out, "env.json"), "w") as fh:
-        fh.write(bench_mod.environment_json() + "\n")
+    _write(out, "flops.json", bench_mod.flops_summary_json())
+    _write(out, "env.json", bench_mod.environment_json())
     write_config_echo(out, args)
     for rep, flops in rows:
         print(f"{rep.op:12s} {rep.precision}  median {rep.median_s * 1e3:8.3f} ms  "
@@ -302,10 +286,8 @@ def cmd_demo(args) -> int:
     kernel = tcn.build_equiv_kernel(offsets, weights, cfg)
     report = tcn.verify_equivalence(u, offsets, weights, cfg)
 
-    lines = []
-    lines.append(f"input clip [T={t}, C={c}, H={h}, W={w}], one channel per shifted group first")
-    lines.append("per-frame channel means of the input:")
-    lines.append(_grid(u.mean(axis=(2, 3)).T))
+    lines = [f"input clip [T={t}, C={c}, H={h}, W={w}], one channel per shifted group first",
+             "per-frame channel means of the input:", _grid(u.mean(axis=(2, 3)).T)]
     for gi in range(g):
         o = offsets[gi]
         n0 = int(np.floor(o))
@@ -314,16 +296,14 @@ def cmd_demo(args) -> int:
                      + ("  (pass-through)" if o == 0 else ""))
         lines.append(f"  equivalent kernel row (frame 0): {{{n0:+d}: {kernel.values[gi, 0, 0]:.3f}, "
                      f"{n0 + 1:+d}: {kernel.values[gi, 0, 1]:.3f}}}")
-    lines.append("per-frame channel means of the output:")
-    lines.append(_grid(v.mean(axis=(2, 3)).T))
-    lines.append(f"max |operator - 2-tap convolution| = {report.max_abs_diff:.3e} "
-                 f"({'consistent' if report.passed else 'MISMATCH'})")
+    lines += ["per-frame channel means of the output:", _grid(v.mean(axis=(2, 3)).T),
+              f"max |operator - 2-tap convolution| = {report.max_abs_diff:.3e} "
+              f"({'consistent' if report.passed else 'MISMATCH'})"]
     text = "\n".join(lines)
     print(text)
     if args.out:
         out = resolve_out_dir(args)
-        with open(os.path.join(out, "demo.txt"), "w") as fh:
-            fh.write(text + "\n")
+        _write(out, "demo.txt", text)
         write_config_echo(out, args)
     return EXIT_OK
 
@@ -332,21 +312,27 @@ def _grid(m: np.ndarray) -> str:
     return "\n".join("  " + "  ".join(f"{x:6.3f}" for x in row) for row in np.atleast_2d(m))
 
 
-_UNSET = object()
+def parse_args(argv=None) -> argparse.Namespace:
+    """A --config file's flags, then the command line's, which win; a bad file line is a ConfigError."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subcommands.choices[args.command]
+    sub.exit_on_error = False   # raise the file's first bad value, do not print usage
+    flags = config_flags(args.config, sub) + argv[argv.index(args.command) + 1:]
+    try:
+        return sub.parse_args(flags, argparse.Namespace(command=args.command))
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # parsed again with every default unset, only the given options keep a value
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparsers.choices[args.command].set_defaults(**dict.fromkeys(vars(args), _UNSET))
-    given = {k for k, v in vars(parser.parse_args(argv)).items() if v is not _UNSET}
-    handlers = {"equiv": cmd_equiv, "gradcheck": cmd_gradcheck, "train": cmd_train,
-                "ablate": cmd_ablate, "bench": cmd_bench, "demo": cmd_demo}
     try:
-        apply_config_file(args, given)
-        return handlers[args.command](args)
+        args = parse_args(argv)
+        return args.func(args)
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

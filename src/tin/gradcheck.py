@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .tensors import Rng, multi_index
 
 EPS = 1e-5
@@ -82,6 +82,8 @@ def check(forward, vjp, point: dict, *, eps: float = EPS, tol: float = TOL,
     (name, point) to per-coordinate distances from the nearest
     non-differentiable point; coordinates closer than 2 eps are skipped.
     """
+    if max_coords < 1:
+        raise ConfigError(f"need at least one coordinate per entry, got max_coords={max_coords}")
     rng = rng or Rng(0)
     out0 = np.asarray(forward(point))
     if not np.all(np.isfinite(out0)):

@@ -226,6 +226,8 @@ def temporal_sample_vjp(u: np.ndarray, offset: float, grad_v: np.ndarray):
 
 def _batchify(u, offsets, weights, cfg: InterlaceConfig):
     u = np.asarray(u)
+    if u.dtype.kind != "f":
+        raise ShapeError(f"feature map must be floating point, got dtype {u.dtype}")
     offsets = np.asarray(offsets, dtype=u.dtype)
     weights = np.asarray(weights, dtype=u.dtype)
     if u.ndim == 4:

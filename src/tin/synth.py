@@ -47,7 +47,7 @@ class SynthTask:
     task: str = "direction2"
     t: int = 8
     h: int = 16
-    w: int = 16
+    w: int | None = None    # None: default_width(task)
     noise: float = 0.02
     seed: int = 0
     train_clips: int = 2000
@@ -55,6 +55,8 @@ class SynthTask:
 
     def __post_init__(self):
         self.k = task_classes(self.task)
+        if self.w is None:
+            self.w = default_width(self.task)
         speeds = (1, 2) if self.task == "speed2" else (1,)
         span = 2 + (self.t - 1) * max(speeds)
         if self.h < 4 or self.w < span + 2:
@@ -63,6 +65,9 @@ class SynthTask:
                 f"(needs width >= {span + 2})")
         if self.noise < 0:
             raise ConfigError("noise level must be non-negative")
+        if self.train_clips < 1 or self.val_clips < 1:
+            raise ConfigError(f"need at least one clip per split, got train_clips="
+                              f"{self.train_clips} val_clips={self.val_clips}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .interlace import InterlaceConfig, interlace_forward, partition_channels
 from .tensors import Rng
 
@@ -177,6 +177,8 @@ def _trial_offsets(rng: Rng, cfg: InterlaceConfig) -> np.ndarray:
 
 def run_equivalence_trials(trials: int, seed: int, tol: float = 1e-9) -> TrialsReport:
     """Seeded random sweep over shapes, group layouts, and offset regimes."""
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
     root = Rng(seed)
     worst = {"diff": -1.0}
     failures = 0

@@ -39,6 +39,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
@@ -199,6 +201,8 @@ def build_net(task_spec: SynthTask, temporal: str, seed: int, hidden: int = 16,
     rng = Rng(seed).child("net")
     cfg = None
     if temporal == "tin":
+        if learned_groups < 1:
+            raise ConfigError(f"the tin arm needs at least one learned group, got {learned_groups}")
         g_total = learned_groups * (2 if mirror else 1)
         cfg = InterlaceConfig(t=task_spec.t, c=hidden, g=g_total,
                               shift_fraction=shift_fraction, mirror=mirror,
@@ -234,11 +238,11 @@ def run_ablation(task_spec: SynthTask, cfg: TrainConfig, groups=(1, 2, 4),
                  shift_fraction: float = 0.25) -> list:
     """Group-count x mirroring grid plus the temporally blind floor.
 
-    Each cell is seed-averaged over at least three seeds. `hidden` must
+    Each cell is averaged over at least three distinct seeds. `hidden` must
     keep the shifted channels divisible for the largest total group count.
     """
-    if len(seeds) < 3:
-        raise ConfigError(f"ablation wants >= 3 seeds, got {len(seeds)}")
+    if len(seeds) < 3 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"ablation wants >= 3 distinct seeds, got {tuple(seeds)}")
     rows = []
     for g in groups:
         for mirror in mirrors:

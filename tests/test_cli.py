@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tin import nets, synth
-from tin.cli import build_parser, main
+from tin.cli import build_parser, main, parse_args, write_config_echo
+from tin.errors import ConfigError
 from tin.tensors import load_tensor
 from tin.training import TrainConfig, run_experiment, task_data
 
@@ -176,8 +177,30 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     (["equiv"], "command = train\n"),
     (["train", "--batch-size", "0", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"],
      None),
+    (["equiv", "--trials", "0"], None),
+    (["equiv", "--trials", "-3"], None),
+    (["gradcheck", "--max-coords", "0"], None),
+    (["gradcheck", "--max-coords", "-1"], None),
+    (["train", "--train-clips", "0", "--epochs", "1", "--val-clips", "8"], None),
+    (["train", "--val-clips", "0", "--epochs", "1", "--train-clips", "8"], None),
+    (["train", "--epochs", "0", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train", "--epochs", "-1", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train", "--groups", "0", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train", "--temporal", "tcn", "--hidden", "0", "--epochs", "1", "--train-clips", "8",
+      "--val-clips", "8"], None),
+    (["ablate", "--seeds", "0,0,0", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"],
+     None),
+    (["bench", "--hw", "0", "--reps", "50"], None),
+    (["train", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], "mirror = 1\n"),
+    (["train", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], "temporal = lstm\n"),
+    (["bench", "--reps", "50"], "precision = f16\n"),
 ], ids=["demo-offset-out-of-range", "train-hidden-indivisible", "config-file-bad-int",
-        "ablate-bad-seed", "config-file-command-key", "train-batch-size-zero"])
+        "ablate-bad-seed", "config-file-command-key", "train-batch-size-zero",
+        "equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
+        "gradcheck-negative-coords", "train-zero-train-clips", "train-zero-val-clips",
+        "train-zero-epochs", "train-negative-epochs", "train-zero-groups", "train-zero-hidden", "ablate-repeated-seeds",
+        "bench-zero-extent", "config-file-mirror-1", "config-file-unknown-temporal",
+        "config-file-unknown-precision"])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "run.cfg"
@@ -186,6 +209,67 @@ def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, confi
     code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert config is None or str(cfg) in err   # a bad file line names its file
+    assert not (tmp_path / "out").exists()   # rejected before any work is done
+
+
+# One value per option that differs from its default, and, where the flag
+# checks its value, one that the flag rejects. Switches have no value.
+VALID = {"out": "runs/x", "seed": "5", "trials": "7", "tol": "1e-6", "max_coords": "9",
+         "task": "speed2", "temporal": "tcn", "epochs": "3", "lr": "0.05", "momentum": "0.5",
+         "weight_decay": "0", "batch_size": "16", "hidden": "8", "train_clips": "64",
+         "val_clips": "32", "noise": "0.1", "groups": "1", "mirror": "off",
+         "shift_fraction": "0.5", "weightnet_input": "channel_mean", "seeds": "3,4,5",
+         "t": "4", "c": "32", "hw": "7", "reps": "60", "precision": "f32",
+         "offsets": "-1.5,0.5", "dump": "a.tnsr", "load": "b.tnsr"}
+REJECTED = {"seed": "x", "trials": "1.5", "tol": "tight", "max_coords": "x", "task": "speed3",
+            "temporal": "lstm", "epochs": "abc", "lr": "fast", "momentum": "x",
+            "weight_decay": "x", "batch_size": "x", "hidden": "x", "train_clips": "x",
+            "val_clips": "x", "noise": "x", "groups": "x", "mirror": "1",
+            "shift_fraction": "x", "weightnet_input": "frames", "t": "x", "c": "x", "hw": "x",
+            "reps": "x", "precision": "f16"}
+
+
+def _options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, a) for cmd, p in sub.choices.items() for a in p._actions
+            if a.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("cmd, action", _options(),
+                         ids=[f"{cmd}-{a.dest}" for cmd, a in _options()])
+def test_a_config_line_is_the_flag(tmp_path, capsys, cmd, action):
+    flag = action.option_strings[0]
+    cfg = tmp_path / "run.cfg"
+    switch = action.nargs == 0
+    if switch:
+        cfg.write_text(f"{action.dest} = true\n")
+        argv = [flag]
+    else:
+        cfg.write_text(f"{action.dest} = {VALID[action.dest]}\n")
+        argv = [f"{flag}={VALID[action.dest]}"]
+    from_flag, from_file = parse_args([cmd] + argv), parse_args([cmd, "--config", str(cfg)])
+    assert getattr(from_file, action.dest) != action.default
+    for name, args in (("flag", from_flag), ("file", from_file)):
+        (tmp_path / name).mkdir()
+        write_config_echo(str(tmp_path / name), args)
+    assert (tmp_path / "flag" / "config.txt").read_bytes() == \
+           (tmp_path / "file" / "config.txt").read_bytes()
+
+    if not switch and action.type is None and action.choices is None:
+        assert action.dest not in REJECTED   # the flag takes any string
+        return
+    bad = "1" if switch else REJECTED[action.dest]
+    with pytest.raises(SystemExit) as exc:
+        parse_args([cmd, f"{flag}={bad}"])
+    assert exc.value.code == 2
+    cfg.write_text(f"{action.dest} = {bad}\n")
+    with pytest.raises(ConfigError):
+        parse_args([cmd, "--config", str(cfg)])
+
+
+def test_every_option_has_a_sample_value():
+    assert {a.dest for _, a in _options() if a.nargs != 0} == set(VALID)
 
 
 def test_config_file_values_apply_and_flags_override(tmp_path, capsys):

@@ -1,0 +1,60 @@
+"""Bad inputs to the library raise the documented error type, never a numpy one."""
+
+import numpy as np
+import pytest
+
+from tin import bench, gradcheck, tcn
+from tin.blocks import make_toy_net
+from tin.errors import ConfigError, ShapeError
+from tin.interlace import InterlaceConfig, interlace_forward
+from tin.synth import SynthTask
+from tin.tensors import Rng
+from tin.training import TrainConfig, build_net, run_ablation
+
+
+def _identity_check(max_coords):
+    point = {"x": np.linspace(0.1, 0.9, 5)}
+    return gradcheck.check(lambda p: 2.0 * p["x"], lambda p, v: {"x": 2.0 * v}, point,
+                           max_coords=max_coords)
+
+
+def _toy_net():
+    return make_toy_net(8, 1, 2, Rng(0), hidden=16, temporal="tin")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tcn.run_equivalence_trials(0, 0), ConfigError),
+    (lambda: tcn.run_equivalence_trials(-3, 0), ConfigError),
+    (lambda: _identity_check(0), ConfigError),
+    (lambda: _identity_check(-1), ConfigError),
+    (lambda: SynthTask(train_clips=0), ConfigError),
+    (lambda: SynthTask(val_clips=0), ConfigError),
+    (lambda: TrainConfig(epochs=0), ConfigError),
+    (lambda: TrainConfig(epochs=-1), ConfigError),
+    (lambda: build_net(SynthTask(), "tin", 0, learned_groups=0), ConfigError),
+    (lambda: run_ablation(SynthTask(train_clips=8, val_clips=8), TrainConfig(epochs=1),
+                          seeds=(0, 0, 0)), ConfigError),
+    (lambda: bench.make_op("interlace", 8, 16, 0, 0), ConfigError),
+    (lambda: interlace_forward(np.ones((8, 16, 2, 2), dtype=np.int64), [0.5, 1.0, 0.0, 0.0],
+                               np.ones((4, 8)), InterlaceConfig(t=8, c=16, mirror=False)),
+     ShapeError),
+    (lambda: _toy_net().forward(np.zeros((2, 8, 3, 4, 4))), ShapeError),
+    (lambda: _toy_net().forward(np.zeros((8, 1, 4, 4))), ShapeError),
+    (lambda: make_toy_net(8, 1, 2, Rng(0), hidden=0, temporal="tcn"), ShapeError),
+], ids=["equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
+        "gradcheck-negative-coords", "synth-zero-train-clips", "synth-zero-val-clips",
+        "train-zero-epochs", "train-negative-epochs", "tin-arm-zero-groups",
+        "ablation-repeated-seeds", "bench-zero-extent", "interlace-int-map",
+        "net-wrong-channel-count", "net-wrong-rank", "net-zero-hidden"])
+def test_bad_input_raises_the_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_counts_at_their_floor_stay_valid():
+    assert _identity_check(1).passed
+    assert tcn.run_equivalence_trials(1, 0).passed
+    InterlaceConfig(t=8, c=16, g=0)
+    build_net(SynthTask(), "tcn", 0, learned_groups=0)
+    TrainConfig(epochs=1)
+    SynthTask(train_clips=1, val_clips=1)

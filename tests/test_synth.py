@@ -76,6 +76,12 @@ def test_speed2_needs_wide_frames():
     SynthTask(task="speed2", w=default_width("speed2"))
 
 
+def test_speed2_builds_with_the_library_defaults():
+    # the frame width follows the task unless it is given
+    assert SynthTask(task="speed2").w == default_width("speed2") == 24
+    assert SynthTask().w == 16
+
+
 def test_static_class_in_direction3():
     spec = SynthTask(task="direction3", noise=0.0, train_clips=90, val_clips=10, seed=3)
     data = generate_task(spec, "train")
