@@ -422,8 +422,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     the 1/N factor.
     """
     n, k = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels {labels.shape} do not match logits {logits.shape}")
+    if n < 1 or labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ShapeError(f"need integer labels [N], N >= 1, for logits {logits.shape}, "
+                         f"got {labels.dtype} {labels.shape}")
     if not np.all((labels >= 0) & (labels < k)):
         raise ShapeError(f"labels must lie in [0, {k})")
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -8,8 +8,10 @@ reported rather than silently passed. Relative error is
 |a - n| / max(|a|, |n|, 1e-8).
 
 standard_checks() is the registry of every differentiable operation in
-the package, shared by the test suite and the CLI. layer_check() builds
-an entry for anything with forward, backward and named_params; it checks
+the package, shared by the test suite and the CLI. An entry is a tuple
+(name, forward, vjp, point, kink_dist, tol). A pure function's forward
+and vjp read the point they are given. layer_check() builds the entry
+for anything with forward, backward and named_params; it checks
 the layers of the generator nets (conv1d.single_out, conv1d.multi_out, fc,
 sigmoid), both nets (offsetnet.params, weightnet.params and
 weightnet.channel_mean), each per-frame layer on its own
@@ -21,15 +23,18 @@ block (tin_block) and a toy net (toy_net.end_to_end).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError
+from .interlace import InterlaceConfig
 from .tensors import Rng, multi_index
 
 EPS = 1e-5
 TOL = 1e-6
+# the block of the tin_block and toy_net.end_to_end entries
+_BLOCK_CFG = InterlaceConfig(t=4, c=8, g=2, shift_fraction=0.25, mirror=True)
 
 
 @dataclass
@@ -59,14 +64,7 @@ class GradReport:
         return max((p.max_rel_err for p in self.params), default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps, "tol": self.tol, "passed": self.passed,
-            "kinks": [list(k) for k in self.kinks],
-            "params": [{"name": p.name, "max_rel_err": p.max_rel_err,
-                        "max_abs_err": p.max_abs_err, "worst_index": list(p.worst_index),
-                        "n_checked": p.n_checked, "n_skipped": p.n_skipped,
-                        "passed": p.passed} for p in self.params],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def rel_err(a: float, n: float) -> float:
@@ -93,8 +91,10 @@ def check(forward, vjp, point: dict, *, eps: float = EPS, tol: float = TOL,
     if set(analytic) != set(point):
         raise ShapeError(f"vjp keys {sorted(analytic)} != point keys {sorted(point)}")
 
-    def scalar(p: dict) -> float:
-        return float(np.sum(cot * np.asarray(forward(p))))
+    def scalar(name: str, x: np.ndarray, flat: int, delta: float) -> float:
+        xp = x.copy()
+        xp.reshape(-1)[flat] += delta
+        return float(np.sum(cot * np.asarray(forward({**point, name: xp}))))
 
     reports, kinks = [], []
     for name in sorted(point):
@@ -119,16 +119,7 @@ def check(forward, vjp, point: dict, *, eps: float = EPS, tol: float = TOL,
                 kinks.append((name, flat))
                 n_skipped += 1
                 continue
-            pert = dict(point)
-            xp = x.copy()
-            xp.reshape(-1)[flat] += eps
-            pert[name] = xp
-            f_plus = scalar(pert)
-            xp = x.copy()
-            xp.reshape(-1)[flat] -= eps
-            pert[name] = xp
-            f_minus = scalar(pert)
-            numeric = (f_plus - f_minus) / (2 * eps)
+            numeric = (scalar(name, x, flat, eps) - scalar(name, x, flat, -eps)) / (2 * eps)
             e = rel_err(float(a.reshape(-1)[flat]), numeric)
             if e >= worst[0]:
                 worst = (e, abs(float(a.reshape(-1)[flat]) - numeric), multi_index(x.shape, flat))
@@ -160,96 +151,85 @@ def _fractional_offsets(rng: Rng, cfg, margin: float = 0.1) -> np.ndarray:
     return np.concatenate([vals, -vals]) if cfg.mirror else vals
 
 
-def _entry(name, live: dict, run, grads, kink_dist=None, tol=TOL) -> tuple:
-    """A registry entry over a dict of live arrays.
-
-    run() -> (out, tape) reads the live arrays and grads(cot, tape) returns
-    a gradient per key; forward and vjp load each check point into the
-    live arrays in place first. The point is a copy of the live arrays.
-    """
-    def load(p):
-        for key, arr in live.items():
-            arr[...] = p[key]
-
-    def forward(p):
-        load(p)
-        return run()[0]
-
-    def vjp(p, cot):
-        load(p)
-        return grads(cot, run()[1])
-
-    return name, forward, vjp, {k: a.copy() for k, a in live.items()}, kink_dist, tol
+def _offset_kinks(name: str, p: dict) -> np.ndarray:
+    """Sampling offsets kink at integers; no other input has a kink."""
+    if name in ("offset", "offsets"):
+        return offset_kink_distance(p[name])
+    return np.full(np.asarray(p[name]).size, np.inf)
 
 
 def layer_check(name: str, layer, x, key: str = "x", tol: float = TOL) -> tuple:
     """Registry entry for anything with forward, backward and named_params.
 
     Checks the input (under key) and every parameter through the layer's
-    own tape. The layer's parameter arrays are the live arrays, so the
-    layer must not be shared with another entry; x is copied.
+    own tape. A layer reads its parameters from its own arrays, so forward
+    and vjp load each check point into them in place first, and the layer
+    must not be shared with another entry. The point holds copies.
     """
     live = {**layer.named_params(), key: np.array(x, dtype=np.float64)}
 
-    def grads(cot, tape):
-        gx, param_grads = layer.backward(cot, tape)
+    def run(p):
+        for k, arr in live.items():
+            arr[...] = p[k]
+        return layer.forward(live[key])
+
+    def vjp(p, cot):
+        gx, param_grads = layer.backward(cot, run(p)[1])
         return {**param_grads, key: gx}
 
-    return _entry(name, live, lambda: layer.forward(live[key]), grads, tol=tol)
+    return name, lambda p: run(p)[0], vjp, {k: a.copy() for k, a in live.items()}, None, tol
 
 
 def standard_checks(seed: int = 0) -> list:
     """(name, forward, vjp, point, kink_dist, tol) for every operator."""
     from . import blocks, nets
-    from .interlace import InterlaceConfig, interlace_backward, interlace_forward, \
-        temporal_sample, temporal_sample_vjp
+    from .interlace import interlace_backward, interlace_forward, temporal_sample, \
+        temporal_sample_vjp
 
     rng = Rng(seed)
     checks = []
 
     # temporal sampling w.r.t. the input at a fixed fractional offset
     u0 = rng.child("ts_u").uniform([6, 3, 2, 2], -1.0, 1.0)
-    ts = {"u": u0.copy()}
-    checks.append(_entry("temporal_sample.input", ts, lambda: (temporal_sample(ts["u"], 1.3), None),
-                         lambda cot, _: {"u": temporal_sample_vjp(ts["u"], 1.3, cot)[0]}))
+    checks.append(("temporal_sample.input", lambda p: temporal_sample(p["u"], 1.3),
+                   lambda p, cot: {"u": temporal_sample_vjp(p["u"], 1.3, cot)[0]},
+                   {"u": u0}, None, TOL))
 
     # temporal sampling w.r.t. the offset (fractional, plus a flagged kink)
-    def ts_offset(name, offset):
-        live = {"offset": np.array([offset])}
-        return _entry(name, live, lambda: (temporal_sample(u0, float(live["offset"][0])), None),
-                      lambda cot, _: {"offset": np.array(
-                          [temporal_sample_vjp(u0, float(live["offset"][0]), cot)[1]])},
-                      lambda _, p: offset_kink_distance(p["offset"]))
-
-    checks.append(ts_offset("temporal_sample.offset", -0.7))
-    checks.append(ts_offset("temporal_sample.offset_at_integer_kink", 2.0))
+    for name, offset in (("temporal_sample.offset", -0.7),
+                         ("temporal_sample.offset_at_integer_kink", 2.0)):
+        checks.append((name, lambda p: temporal_sample(u0, float(p["offset"][0])),
+                       lambda p, cot: {"offset": np.array(
+                           [temporal_sample_vjp(u0, float(p["offset"][0]), cot)[1]])},
+                       {"offset": np.array([offset])}, _offset_kinks, TOL))
 
     # full interlace operator w.r.t. input, offsets, weights
     cfg = InterlaceConfig(t=6, c=8, g=4, shift_fraction=0.5, mirror=False)
     uin = rng.child("il_u").uniform([6, 8, 2, 2], -1.0, 1.0)
-    il = {"u": uin.copy(), "offsets": _fractional_offsets(rng.child("il_off"), cfg),
+    il = {"u": uin, "offsets": _fractional_offsets(rng.child("il_off"), cfg),
           "weights": rng.child("il_w").uniform([4, 6], 0.2, 1.8)}
 
-    def il_kinks(name, p):
-        if name == "offsets":
-            return offset_kink_distance(p["offsets"])
-        return np.full(np.asarray(p[name]).size, np.inf)
+    def run_il(p):
+        return interlace_forward(p["u"], p["offsets"], p["weights"], cfg)
 
-    checks.append(_entry("interlace", il,
-                         lambda: interlace_forward(il["u"], il["offsets"], il["weights"], cfg),
-                         lambda cot, tape: dict(zip(il, interlace_backward(cot, tape))), il_kinks))
+    checks.append(("interlace", lambda p: run_il(p)[0],
+                   lambda p, cot: dict(zip(il, interlace_backward(cot, run_il(p)[1]))),
+                   il, _offset_kinks, TOL))
 
     cfg_all = InterlaceConfig(t=6, c=8, g=2, shift_fraction=0.5, mirror=True,
                               weight_all_channels=True)
-    ilm = {"u": uin.copy(), "half": _fractional_offsets(rng.child("ilm_off"), cfg_all)[:1],
+    ilm = {"u": uin, "half": _fractional_offsets(rng.child("ilm_off"), cfg_all)[:1],
            "weights": rng.child("ilm_w").uniform([2, 6], 0.2, 1.8)}
 
-    def ilm_grads(cot, tape):
-        gu, go, gw = interlace_backward(cot, tape)
+    def run_ilm(p):
+        offsets = np.concatenate([p["half"], -p["half"]])
+        return interlace_forward(p["u"], offsets, p["weights"], cfg_all)
+
+    def ilm_vjp(p, cot):
+        gu, go, gw = interlace_backward(cot, run_ilm(p)[1])
         return {"u": gu, "half": go[:1] - go[1:], "weights": gw}
 
-    checks.append(_entry("interlace.mirror_weight_all", ilm, lambda: interlace_forward(
-        ilm["u"], np.concatenate([ilm["half"], -ilm["half"]]), ilm["weights"], cfg_all), ilm_grads))
+    checks.append(("interlace.mirror_weight_all", lambda p: run_ilm(p)[0], ilm_vjp, ilm, None, TOL))
 
     # pooling
     checks.append((
@@ -260,16 +240,11 @@ def standard_checks(seed: int = 0) -> list:
 
     # offset rescale, plain and mirrored
     raw0 = rng.child("rs").uniform([4], 0.05, 0.95)
-    checks.append((
-        "rescale_offsets",
-        lambda p: nets.rescale_offsets(p["raw"], 8, False),
-        lambda p, cot: {"raw": nets.rescale_offsets_vjp(cot, 8, False)},
-        {"raw": raw0}, None, TOL))
-    checks.append((
-        "rescale_offsets.mirror",
-        lambda p: nets.rescale_offsets(p["raw"], 8, True),
-        lambda p, cot: {"raw": nets.rescale_offsets_vjp(cot, 8, True)},
-        {"raw": raw0}, None, TOL))
+    for mirror in (False, True):
+        checks.append(("rescale_offsets" + ".mirror" * mirror,
+                       lambda p, m=mirror: nets.rescale_offsets(p["raw"], 8, m),
+                       lambda p, cot, m=mirror: {"raw": nets.rescale_offsets_vjp(cot, 8, m)},
+                       {"raw": raw0}, None, TOL))
 
     # classification loss
     lg = rng.child("ce_x").uniform([3, 4], -2.0, 2.0)
@@ -324,7 +299,9 @@ def standard_checks(seed: int = 0) -> list:
 
     # the full block: every parameter plus the input, via the block's own tape
     brng = rng.child("block")
-    checks.append(layer_check("tin_block", _nudged_block(brng),
+    block = blocks.TinBlock(_BLOCK_CFG, brng.child("params"), "tin")
+    _nudge(block, brng, w2=0.4, b2=(0.35, -0.2), wk=0.3, wb=0.3)
+    checks.append(layer_check("tin_block", block,
                               brng.child("u").uniform([4, 8, 2, 2], -1.0, 1.0), key="u"))
     # toy net end to end: deepest composition, looser tolerance
     trng = rng.child("toynet")
@@ -333,18 +310,12 @@ def standard_checks(seed: int = 0) -> list:
     return checks
 
 
-def _nudged_block(rng: Rng):
-    """A block whose nets are perturbed so offsets sit far from integers."""
-    from . import blocks
-    from .interlace import InterlaceConfig
-
-    cfg = InterlaceConfig(t=4, c=8, g=2, shift_fraction=0.25, mirror=True)
-    block = blocks.TinBlock(cfg, rng.child("params"), "tin")
-    block.onet.fc2_w[:] = rng.child("w2").uniform([2, 4], -0.4, 0.4)
-    block.onet.fc2_b[:] = np.array([0.35, -0.2])
-    block.wnet.conv[:] = rng.child("wk").uniform(block.wnet.conv.shape, -0.3, 0.3)
-    block.wnet.bias[:] = rng.child("wb").uniform([2], -0.3, 0.3)
-    return block
+def _nudge(block, rng: Rng, w2: float, b2: tuple, wk: float, wb: float) -> None:
+    """Perturb a TinBlock's nets off their init so offsets sit far from integers."""
+    block.onet.fc2_w[:] = rng.child("w2").uniform(block.onet.fc2_w.shape, -w2, w2)
+    block.onet.fc2_b[:] = b2
+    block.wnet.conv[:] = rng.child("wk").uniform(block.wnet.conv.shape, -wk, wk)
+    block.wnet.bias[:] = rng.child("wb").uniform(block.wnet.bias.shape, -wb, wb)
 
 
 def _scaled_toy_net(rng: Rng):
@@ -355,18 +326,13 @@ def _scaled_toy_net(rng: Rng):
     ReLUs, mirrored raw offsets) difference to exactly zero and are fine.
     """
     from . import blocks
-    from .interlace import InterlaceConfig
 
-    cfg = InterlaceConfig(t=4, c=8, g=2, shift_fraction=0.25, mirror=True)
     net = blocks.make_toy_net(4, 2, 3, rng.child("net"), hidden=8, temporal="tin",
-                              cfg=cfg, head_scale=1.0)
+                              cfg=_BLOCK_CFG, head_scale=1.0)
     tin = net.tin_blocks()[0]
     tin.onet.conv *= 2.0
     tin.onet.fc1_w *= 1.5
-    tin.onet.fc2_w[:] = rng.child("w2").uniform([2, 4], -0.5, 0.5)
-    tin.onet.fc2_b[:] = np.array([0.5, -0.35])
-    tin.wnet.conv[:] = rng.child("wk").uniform(tin.wnet.conv.shape, -0.15, 0.15)
-    tin.wnet.bias[:] = rng.child("wb").uniform([2], -0.4, 0.4)
+    _nudge(tin, rng, w2=0.5, b2=(0.5, -0.35), wk=0.15, wb=0.4)
     for layer in net.layers:
         if layer.name in ("conv1", "conv2"):
             layer.w *= 2.0

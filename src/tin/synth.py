@@ -55,6 +55,8 @@ class SynthTask:
 
     def __post_init__(self):
         self.k = task_classes(self.task)
+        if self.t < 2:
+            raise ConfigError(f"need at least two frames for frame order to matter, got t={self.t}")
         if self.w is None:
             self.w = default_width(self.task)
         speeds = (1, 2) if self.task == "speed2" else (1,)
@@ -63,8 +65,8 @@ class SynthTask:
             raise ConfigError(
                 f"frame {self.h}x{self.w} too small for task {self.task!r} "
                 f"(needs width >= {span + 2})")
-        if self.noise < 0:
-            raise ConfigError("noise level must be non-negative")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise level must be finite and non-negative, got {self.noise}")
         if self.train_clips < 1 or self.val_clips < 1:
             raise ConfigError(f"need at least one clip per split, got train_clips="
                               f"{self.train_clips} val_clips={self.val_clips}")

@@ -14,11 +14,11 @@ two-route check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .interlace import InterlaceConfig, interlace_forward, partition_channels
 from .tensors import Rng
 
@@ -72,6 +72,10 @@ def build_equiv_kernel(offsets: np.ndarray, weights: np.ndarray, cfg: InterlaceC
     weights = np.asarray(weights, dtype=np.float64)
     if offsets.shape != (cfg.g,) or weights.shape != (cfg.g, cfg.t):
         raise ShapeError(f"need offsets [G] and weights [G, T] for g={cfg.g}")
+    if not np.all(np.isfinite(offsets)):
+        raise NonFiniteError("offsets must be finite")
+    if not np.all(np.abs(offsets) < cfg.t / 2):
+        raise ShapeError(f"offset out of range (-{cfg.t / 2}, {cfg.t / 2})")
     n0 = np.floor(offsets).astype(np.int64)
     f = offsets - n0
     values = np.stack([(1.0 - f)[:, None] * weights, f[:, None] * weights], axis=-1)
@@ -151,11 +155,7 @@ class TrialsReport:
     worst: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"trials": self.trials, "seed": self.seed, "tol": self.tol,
-             "max_abs_diff": self.max_abs_diff, "failures": self.failures,
-             "passed": self.passed, "worst": self.worst},
-            indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _trial_offsets(rng: Rng, cfg: InterlaceConfig) -> np.ndarray:
@@ -179,6 +179,8 @@ def run_equivalence_trials(trials: int, seed: int, tol: float = 1e-9) -> TrialsR
     """Seeded random sweep over shapes, group layouts, and offset regimes."""
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
+    if not tol >= 0:     # 0 is a gate no trial can pass; NaN fails here
+        raise ConfigError(f"tolerance must be non-negative, got {tol}")
     root = Rng(seed)
     worst = {"diff": -1.0}
     failures = 0

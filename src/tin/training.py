@@ -41,6 +41,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if not (self.lr >= 0 and 0 <= self.momentum < 1 and self.weight_decay >= 0):  # NaN fails
+            raise ConfigError(f"need lr >= 0, 0 <= momentum < 1 and weight_decay >= 0, got lr="
+                              f"{self.lr} momentum={self.momentum} weight_decay={self.weight_decay}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr

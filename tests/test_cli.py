@@ -194,13 +194,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     (["train", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], "mirror = 1\n"),
     (["train", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], "temporal = lstm\n"),
     (["bench", "--reps", "50"], "precision = f16\n"),
+    (["train", "--lr", "-0.05", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train", "--lr", "nan", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
+    (["train", "--momentum", "1.5", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"],
+     None),
+    (["train", "--weight-decay", "-1", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"],
+     None),
+    (["equiv", "--tol", "-1"], None),
+    (["train", "--noise", "nan", "--epochs", "1", "--train-clips", "8", "--val-clips", "8"], None),
 ], ids=["demo-offset-out-of-range", "train-hidden-indivisible", "config-file-bad-int",
         "ablate-bad-seed", "config-file-command-key", "train-batch-size-zero",
         "equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
         "gradcheck-negative-coords", "train-zero-train-clips", "train-zero-val-clips",
         "train-zero-epochs", "train-negative-epochs", "train-zero-groups", "train-zero-hidden", "ablate-repeated-seeds",
         "bench-zero-extent", "config-file-mirror-1", "config-file-unknown-temporal",
-        "config-file-unknown-precision"])
+        "config-file-unknown-precision", "train-negative-lr", "train-nan-lr",
+        "train-momentum-above-one", "train-negative-weight-decay", "equiv-negative-tol",
+        "train-nan-noise"])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "run.cfg"

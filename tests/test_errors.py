@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tin import bench, gradcheck, tcn
-from tin.blocks import make_toy_net
-from tin.errors import ConfigError, ShapeError
+from tin.blocks import cross_entropy, make_toy_net
+from tin.errors import ConfigError, NonFiniteError, ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
 from tin.synth import SynthTask
 from tin.tensors import Rng
@@ -41,11 +41,40 @@ def _toy_net():
     (lambda: _toy_net().forward(np.zeros((2, 8, 3, 4, 4))), ShapeError),
     (lambda: _toy_net().forward(np.zeros((8, 1, 4, 4))), ShapeError),
     (lambda: make_toy_net(8, 1, 2, Rng(0), hidden=0, temporal="tcn"), ShapeError),
+    (lambda: TrainConfig(lr=-0.05), ConfigError),
+    (lambda: TrainConfig(lr=float("nan")), ConfigError),
+    (lambda: TrainConfig(momentum=1.5), ConfigError),
+    (lambda: TrainConfig(momentum=1.0), ConfigError),
+    (lambda: TrainConfig(momentum=-0.1), ConfigError),
+    (lambda: TrainConfig(momentum=float("nan")), ConfigError),
+    (lambda: TrainConfig(weight_decay=-1.0), ConfigError),
+    (lambda: TrainConfig(weight_decay=float("nan")), ConfigError),
+    (lambda: tcn.run_equivalence_trials(1, 0, tol=-1.0), ConfigError),
+    (lambda: tcn.run_equivalence_trials(1, 0, tol=float("nan")), ConfigError),
+    (lambda: SynthTask(t=0), ConfigError),
+    (lambda: SynthTask(t=1), ConfigError),
+    (lambda: SynthTask(noise=float("nan")), ConfigError),
+    (lambda: SynthTask(noise=float("inf")), ConfigError),
+    (lambda: cross_entropy(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0])), ShapeError),
+    (lambda: cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), ShapeError),
+    (lambda: tcn.build_equiv_kernel([np.nan, 0.5], np.ones((2, 8)),
+                                    InterlaceConfig(t=8, c=16, g=2, mirror=False)), NonFiniteError),
+    (lambda: tcn.build_equiv_kernel([4.0, 0.5], np.ones((2, 8)),
+                                    InterlaceConfig(t=8, c=16, g=2, mirror=False)), ShapeError),
+    (lambda: tcn.build_equiv_kernel([0.5, -4.5], np.ones((2, 8)),
+                                    InterlaceConfig(t=8, c=16, g=2, mirror=False)), ShapeError),
 ], ids=["equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
         "gradcheck-negative-coords", "synth-zero-train-clips", "synth-zero-val-clips",
         "train-zero-epochs", "train-negative-epochs", "tin-arm-zero-groups",
         "ablation-repeated-seeds", "bench-zero-extent", "interlace-int-map",
-        "net-wrong-channel-count", "net-wrong-rank", "net-zero-hidden"])
+        "net-wrong-channel-count", "net-wrong-rank", "net-zero-hidden",
+        "train-negative-lr", "train-nan-lr", "train-momentum-above-one",
+        "train-momentum-one", "train-negative-momentum", "train-nan-momentum",
+        "train-negative-weight-decay", "train-nan-weight-decay", "equiv-negative-tol",
+        "equiv-nan-tol", "synth-zero-frames", "synth-one-frame",
+        "synth-nan-noise", "synth-inf-noise", "cross-entropy-float-labels",
+        "cross-entropy-empty-batch", "equiv-kernel-nan-offset", "equiv-kernel-offset-at-half-t",
+        "equiv-kernel-offset-below-minus-half-t"])
 def test_bad_input_raises_the_documented_error(call, error):
     with pytest.raises(error):
         call()
@@ -57,4 +86,6 @@ def test_counts_at_their_floor_stay_valid():
     InterlaceConfig(t=8, c=16, g=0)
     build_net(SynthTask(), "tcn", 0, learned_groups=0)
     TrainConfig(epochs=1)
+    TrainConfig(lr=0.0, momentum=0.0, weight_decay=0.0)
     SynthTask(train_clips=1, val_clips=1)
+    SynthTask(t=2, noise=0.0)
