@@ -427,6 +427,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
                          f"got {labels.dtype} {labels.shape}")
     if not np.all((labels >= 0) & (labels < k)):
         raise ShapeError(f"labels must lie in [0, {k})")
+    assert_finite(logits, "logits")
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(logz - shifted[np.arange(n), labels]))

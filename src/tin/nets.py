@@ -77,6 +77,8 @@ def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
     offset = (raw - 0.5) * T. With mirroring only the first G/2 raw values
     are consumed; the second half of the result is their exact negation.
     """
+    if t < 1:
+        raise ShapeError(f"need at least one frame, got t={t}")
     raw = np.asarray(raw)
     if not np.all((raw > 0.0) & (raw < 1.0)):       # False for NaN too
         assert_finite(raw, "raw offsets")
@@ -91,6 +93,8 @@ def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
 
 
 def rescale_offsets_vjp(grad_off: np.ndarray, t: int, mirror: bool) -> np.ndarray:
+    if t < 1:
+        raise ShapeError(f"need at least one frame, got t={t}")
     grad_off = np.asarray(grad_off)
     if not mirror:
         return grad_off * t

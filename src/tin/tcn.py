@@ -6,9 +6,9 @@ n0 = floor(O). Expanding those per-group kernels to per-channel kernels
 and running them through a plain zero-padded temporal convolution must
 reproduce the interlace output; verify_equivalence measures the gap.
 
-dense_tconv here is a deliberately naive nested-loop implementation that
-shares no code with the interlace fast path, so the comparison is a real
-two-route check.
+dense_tconv here adds one shifted copy of the input per lag, scaled by the
+dense per-channel, per-frame taps: no bands and no matmul, so it shares no
+code with the interlace fast path and the comparison is a real two-route check.
 """
 
 from __future__ import annotations
@@ -72,10 +72,12 @@ def build_equiv_kernel(offsets: np.ndarray, weights: np.ndarray, cfg: InterlaceC
     weights = np.asarray(weights, dtype=np.float64)
     if offsets.shape != (cfg.g,) or weights.shape != (cfg.g, cfg.t):
         raise ShapeError(f"need offsets [G] and weights [G, T] for g={cfg.g}")
-    if not np.all(np.isfinite(offsets)):
-        raise NonFiniteError("offsets must be finite")
+    if not (np.isfinite(offsets).all() and np.isfinite(weights).all()):
+        raise NonFiniteError("offsets and weights must be finite")
     if not np.all(np.abs(offsets) < cfg.t / 2):
         raise ShapeError(f"offset out of range (-{cfg.t / 2}, {cfg.t / 2})")
+    if not np.all((weights > 0.0) & (weights < 2.0)):
+        raise ShapeError("weights must lie strictly inside (0, 2)")
     n0 = np.floor(offsets).astype(np.int64)
     f = offsets - n0
     values = np.stack([(1.0 - f)[:, None] * weights, f[:, None] * weights], axis=-1)
@@ -103,23 +105,23 @@ def equiv_to_dense(kernel: EquivKernel) -> DenseTemporalKernel:
 
 
 def dense_tconv(u: np.ndarray, kernel: DenseTemporalKernel) -> np.ndarray:
-    """Plain nested-loop per-channel temporal convolution, zero padded."""
+    """Per-channel temporal convolution, zero padded: v[t] += taps[:, t, s]·u[t + s]
+    for each lag s in ascending order, skipping a lag whose taps are all zero."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 4:
         raise ShapeError(f"expected [T, C, H, W], got {u.shape}")
     t, c = u.shape[:2]
     if kernel.taps.shape[:2] != (c, t):
         raise ShapeError(f"kernel {kernel.taps.shape} does not match input {u.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(kernel.taps).all()):
+        raise NonFiniteError("input and taps must be finite")
     s_half = kernel.support
     v = np.zeros_like(u)
-    for t0 in range(t):
-        for ci in range(c):
-            acc = np.zeros(u.shape[2:])
-            for s in range(-s_half, s_half + 1):
-                w = kernel.taps[ci, t0, s + s_half]
-                if w != 0.0 and 0 <= t0 + s < t:
-                    acc += w * u[t0 + s, ci]
-            v[t0, ci] = acc
+    for s in range(max(-s_half, 1 - t), min(s_half, t - 1) + 1):
+        lo, hi = max(0, -s), min(t, t - s)
+        w = kernel.taps[:, lo:hi, s + s_half]
+        if w.any():
+            v[lo:hi] += w.T[:, :, None, None] * u[lo + s:hi + s]
     return v
 
 

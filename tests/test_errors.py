@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tin import bench, gradcheck, tcn
+from tin import bench, gradcheck, nets, tcn
 from tin.blocks import cross_entropy, make_toy_net
 from tin.errors import ConfigError, NonFiniteError, ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
@@ -20,6 +20,20 @@ def _identity_check(max_coords):
 
 def _toy_net():
     return make_toy_net(8, 1, 2, Rng(0), hidden=16, temporal="tin")
+
+
+def _kernel_with_weight(w):
+    weights = np.ones((2, 8))
+    weights[1, 3] = w
+    return tcn.build_equiv_kernel([0.5, -1.5], weights, InterlaceConfig(t=8, c=16, g=2, mirror=False))
+
+
+def _tconv_with(u_value=0.5, tap_value=0.0):
+    u = np.full((4, 2, 2, 2), 0.5)
+    u[1, 0, 0, 0] = u_value
+    kernel = tcn.DenseTemporalKernel.identity(2, 4)
+    kernel.taps[1, 0, 0] = tap_value
+    return tcn.dense_tconv(u, kernel)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -63,6 +77,22 @@ def _toy_net():
                                     InterlaceConfig(t=8, c=16, g=2, mirror=False)), ShapeError),
     (lambda: tcn.build_equiv_kernel([0.5, -4.5], np.ones((2, 8)),
                                     InterlaceConfig(t=8, c=16, g=2, mirror=False)), ShapeError),
+    (lambda: _kernel_with_weight(np.nan), NonFiniteError),
+    (lambda: _kernel_with_weight(np.inf), NonFiniteError),
+    (lambda: _kernel_with_weight(5.0), ShapeError),
+    (lambda: _kernel_with_weight(2.0), ShapeError),
+    (lambda: _kernel_with_weight(0.0), ShapeError),
+    (lambda: _kernel_with_weight(-0.5), ShapeError),
+    (lambda: _tconv_with(u_value=np.nan), NonFiniteError),
+    (lambda: _tconv_with(u_value=np.inf), NonFiniteError),
+    (lambda: _tconv_with(tap_value=np.nan), NonFiniteError),
+    (lambda: _tconv_with(tap_value=-np.inf), NonFiniteError),
+    (lambda: cross_entropy(np.array([[np.inf, 0.0]]), np.array([0])), NonFiniteError),
+    (lambda: cross_entropy(np.array([[0.0, -np.inf]]), np.array([1])), NonFiniteError),
+    (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), 0, False), ShapeError),
+    (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), -2, True), ShapeError),
+    (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, False), ShapeError),
+    (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, True), ShapeError),
 ], ids=["equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
         "gradcheck-negative-coords", "synth-zero-train-clips", "synth-zero-val-clips",
         "train-zero-epochs", "train-negative-epochs", "tin-arm-zero-groups",
@@ -74,7 +104,14 @@ def _toy_net():
         "equiv-nan-tol", "synth-zero-frames", "synth-one-frame",
         "synth-nan-noise", "synth-inf-noise", "cross-entropy-float-labels",
         "cross-entropy-empty-batch", "equiv-kernel-nan-offset", "equiv-kernel-offset-at-half-t",
-        "equiv-kernel-offset-below-minus-half-t"])
+        "equiv-kernel-offset-below-minus-half-t", "equiv-kernel-nan-weight",
+        "equiv-kernel-inf-weight", "equiv-kernel-weight-five", "equiv-kernel-weight-two",
+        "equiv-kernel-weight-zero", "equiv-kernel-negative-weight", "dense-tconv-nan-input",
+        "dense-tconv-inf-input", "dense-tconv-nan-tap", "dense-tconv-inf-tap",
+        "cross-entropy-inf-logit", "cross-entropy-minus-inf-logit", "rescale-zero-frames",
+        "rescale-negative-frames-mirror", "rescale-vjp-zero-frames",
+        "rescale-vjp-zero-frames-mirror"])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_raises_the_documented_error(call, error):
     with pytest.raises(error):
         call()
@@ -89,3 +126,8 @@ def test_counts_at_their_floor_stay_valid():
     TrainConfig(lr=0.0, momentum=0.0, weight_decay=0.0)
     SynthTask(train_clips=1, val_clips=1)
     SynthTask(t=2, noise=0.0)
+    _kernel_with_weight(1e-6)
+    _kernel_with_weight(2.0 - 1e-6)
+    _tconv_with()
+    nets.rescale_offsets(np.array([0.5, 0.5]), 1, True)
+    nets.rescale_offsets_vjp(np.ones(2), 1, True)

@@ -1,6 +1,12 @@
+import ast
+import dis
+import inspect
+import types
+
 import numpy as np
 import pytest
 
+from tin import blocks, interlace
 from tin.errors import ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
 from tin.tcn import (DenseTemporalKernel, EquivKernel, build_equiv_kernel, dense_tconv,
@@ -95,6 +101,109 @@ def test_dense_tconv_matches_scalar_loop():
                         if 0 <= t0 + s < t:
                             acc += taps[ci, t0, s + t] * u[t0 + s, ci, a, b]
                     assert abs(v[t0, ci, a, b] - acc) < 1e-12
+
+
+def _loop_tconv(u, kernel):
+    """The frame x channel x lag loop that dense_tconv replaced: a reference
+    for its summation order, kept here so the oracle has one of its own."""
+    t, c = u.shape[:2]
+    s_half = kernel.support
+    v = np.zeros_like(u)
+    for t0 in range(t):
+        for ci in range(c):
+            acc = np.zeros(u.shape[2:])
+            for s in range(-s_half, s_half + 1):
+                w = kernel.taps[ci, t0, s + s_half]
+                if w != 0.0 and 0 <= t0 + s < t:
+                    acc += w * u[t0 + s, ci]
+            v[t0, ci] = acc
+    return v
+
+
+def _dense_taps(rng, c, t):
+    # every tap nonzero: magnitudes in [0.1, 1) with a random sign
+    mag = rng.uniform([c, t, 2 * t + 1], 0.1, 1.0)
+    return np.where(rng.child("sign").uniform([c, t, 2 * t + 1], 0.0, 1.0) < 0.5, -mag, mag)
+
+
+def _sparse_taps(rng, c, t):
+    """Some lags zero in every channel, others zero (or -0.0) in only some."""
+    taps = _dense_taps(rng, c, t)
+    lags = rng.child("lags").uniform([2 * t + 1], 0.0, 1.0)
+    taps[:, :, lags < 0.4] = 0.0
+    some = rng.child("some").uniform([c, t, 2 * t + 1], 0.0, 1.0)
+    taps[some < 0.3] = 0.0
+    taps[(some >= 0.3) & (some < 0.4)] = -0.0
+    return taps
+
+
+def _kernels(t, c, seed):
+    rng = Rng(seed)
+    yield "dense", DenseTemporalKernel(_dense_taps(rng.child("dense"), c, t))
+    yield "sparse", DenseTemporalKernel(_sparse_taps(rng.child("sparse"), c, t))
+    yield "identity", DenseTemporalKernel.identity(c, t)
+    k = min(2 * t + 1, 5)
+    yield "stationary", DenseTemporalKernel.stationary(
+        rng.child("stat").uniform([c, k], -1.0, 1.0), t)
+    if t >= 2:
+        g = 2 if c % 2 == 0 else 1
+        cfg = InterlaceConfig(t=t, c=c, g=g, shift_fraction=g / c, mirror=g == 2)
+        half = rng.child("off").uniform([1], -t / 2 + 1e-6, t / 2)
+        offsets = np.concatenate([half, -half]) if g == 2 else half
+        weights = rng.child("w").uniform([g, t], 0.1, 1.9)
+        yield "equiv", equiv_to_dense(build_equiv_kernel(offsets, weights, cfg))
+
+
+@pytest.mark.parametrize("t, c", [(1, 1), (1, 4), (2, 3), (5, 2), (8, 4), (16, 1), (16, 8)])
+def test_dense_tconv_equals_the_loop_reference_byte_for_byte(t, c):
+    for seed in range(3):
+        u = Rng(100 + seed).uniform([t, c, 3, 2], -1.0, 1.0)
+        u[:, :, 0, 0] = 0.0     # exact zeros in the input as well
+        for kind, kernel in _kernels(t, c, seed):
+            v = dense_tconv(u, kernel)
+            assert v.tobytes() == _loop_tconv(u, kernel).tobytes(), (kind, seed)
+
+
+def test_sparse_kernels_have_both_kinds_of_zero_lag():
+    taps = _sparse_taps(Rng(0).child("sparse"), 4, 8)
+    all_zero = ~taps.any(axis=(0, 1))
+    some_zero = (taps == 0.0).any(axis=(0, 1)) & ~all_zero
+    assert all_zero.any() and some_zero.any()
+    assert np.signbit(taps[taps == 0.0]).any()
+
+
+def _top_level_names(module):
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _code_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def _uses_matmul_operator(code):
+    return any(i.opname == "BINARY_OP" and i.argrepr in ("@", "@=")
+               for i in dis.get_instructions(code))
+
+
+def test_dense_tconv_shares_no_code_with_the_fast_path():
+    fast_path = _top_level_names(interlace) | _top_level_names(blocks)
+    names = _code_names(dense_tconv.__code__)
+    assert not names & {"matmul", "einsum", "tensordot", "dot", "shifts"}
+    assert not names & fast_path, names & fast_path
+    assert not _uses_matmul_operator(dense_tconv.__code__)
+    # the guard sees a fast-path call where there is one
+    assert "interlace_forward" in _code_names(verify_equivalence.__code__) & fast_path
 
 
 def test_dense_tconv_rejects_bad_shapes():
