@@ -183,27 +183,31 @@ def _top_level_names(module):
     return names
 
 
-def _code_names(code):
-    names = set(code.co_names)
+def _codes(code):
+    """A code object and every code object nested in it (comprehensions, lambdas)."""
+    yield code
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
+            yield from _codes(const)
 
 
-def _uses_matmul_operator(code):
+def _names(fn):
+    return {name for code in _codes(fn.__code__) for name in code.co_names}
+
+
+def _uses_matmul_operator(fn):
     return any(i.opname == "BINARY_OP" and i.argrepr in ("@", "@=")
-               for i in dis.get_instructions(code))
+               for code in _codes(fn.__code__) for i in dis.get_instructions(code))
 
 
 def test_dense_tconv_shares_no_code_with_the_fast_path():
     fast_path = _top_level_names(interlace) | _top_level_names(blocks)
-    names = _code_names(dense_tconv.__code__)
+    names = _names(dense_tconv)
     assert not names & {"matmul", "einsum", "tensordot", "dot", "shifts"}
     assert not names & fast_path, names & fast_path
-    assert not _uses_matmul_operator(dense_tconv.__code__)
+    assert not _uses_matmul_operator(dense_tconv)
     # the guard sees a fast-path call where there is one
-    assert "interlace_forward" in _code_names(verify_equivalence.__code__) & fast_path
+    assert "interlace_forward" in _names(verify_equivalence) & fast_path
 
 
 def test_dense_tconv_rejects_bad_shapes():
