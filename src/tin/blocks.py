@@ -2,11 +2,14 @@
 
 A TinBlock wires pooling, the offset net, the weight net and the interlace
 operator together: v = interlace(u, rescale(offsetnet(pool(u))),
-weightnet(pool(u))). The toy video classifiers run conv1 -> relu1 -> [tin |
-tconv] -> conv2 -> spool(max) -> relu2 -> tmean -> head; their only temporal
+weightnet(pool(u))). The toy video classifiers run conv1(+relu) -> [tin |
+tconv] -> conv2(+max-pool) -> relu2 -> tmean -> head; their only temporal
 mixing is the block under test (tin, or tconv, a per-channel trainable
-temporal conv): without it they are provably blind to frame order. relu2
-follows the pool as max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
+temporal conv): without it they are provably blind to frame order. Each
+per-frame layer is one fused layer: conv1 applies its ReLU in place on its
+own output, and conv2 max-pools each frame's pixels one clip at a time, so
+its backward reads only the argmax pixels. relu2 follows the pool as
+max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
 
 The generator nets are chains of small layers over descriptors [N, C, T]:
 OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nets
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .interlace import InterlaceConfig, interlace_backward, interlace_forward, shifts
 from .tensors import Rng, assert_finite
 
@@ -64,14 +67,18 @@ class Linear(Layer):
 class PointwiseConv2d(Linear):
     """The linear map applied at every pixel of every frame: a 1x1 convolution."""
 
-    def forward(self, x):
+    def _pixels(self, x):
+        """x as a [N, T, C, H*W] array, after checking its rank and channels."""
         if x.ndim != 5 or x.shape[2] != self.w.shape[1]:
             raise ShapeError(f"1x1 conv with {self.w.shape[1]} input channels got input {x.shape}")
-        n, t, c, h, w = x.shape
-        x3 = np.ascontiguousarray(x).reshape(n * t, c, h * w)
-        y = np.matmul(self.w, x3)
+        return np.ascontiguousarray(x).reshape(x.shape[:3] + (-1,))
+
+    def forward(self, x):
+        x4 = self._pixels(x)
+        n, t, c, p = x4.shape
+        y = np.matmul(self.w, x4.reshape(n * t, c, p))
         y += self.b[None, :, None]
-        return y.reshape(n, t, -1, h, w), x
+        return y.reshape(n, t, -1, *x.shape[3:]), x
 
     def backward(self, grad_y, x):
         n, t, c, h, w = x.shape
@@ -81,6 +88,87 @@ class PointwiseConv2d(Linear):
         grad_b = g3.sum(axis=(0, 2))
         grad_x = np.matmul(self.w.T, g3).reshape(x.shape)
         return grad_x, {"w": grad_w, "b": grad_b}
+
+
+class PointwiseConv2dReLU(PointwiseConv2d):
+    """A 1x1 convolution, then max(y, 0), both passes one clip at a time.
+
+    A clip's [T, C, H*W] block stays in cache through the matmul, the bias
+    and the ReLU, and through the mask and the three products of the
+    backward. Every product and sum is taken per frame as PointwiseConv2d
+    takes it, and the per-frame parameter gradients are summed over the
+    batch as it sums them, so the bits are those of PointwiseConv2d
+    followed by ReLU. The tape is (x, y): the conv's gradients read x and
+    the ReLU's mask y.
+    """
+
+    def forward(self, x):
+        x4 = self._pixels(x)
+        y = np.empty(x4.shape[:2] + (self.w.shape[0], x4.shape[3]))
+        for xi, yi in zip(x4, y):
+            np.matmul(self.w, xi, out=yi)
+            yi += self.b[:, None]
+            np.maximum(yi, 0.0, out=yi)
+        y = y.reshape(x.shape[:2] + (-1,) + x.shape[3:])
+        return y, (x, y)
+
+    def backward(self, grad_y, tape):
+        x, y = tape
+        x4 = self._pixels(x)
+        y4 = y.reshape(y.shape[:3] + (-1,))
+        grad_x = np.empty(x4.shape)
+        grad_w = np.empty(y4.shape[:3] + (x4.shape[2],))       # [N, T, C, Cin], per frame
+        grad_b = np.empty(y4.shape[:3])
+        for i, gi in enumerate(grad_y.reshape(y4.shape)):
+            gi = gi * (y4[i] > 0.0)
+            np.matmul(gi, x4[i].swapaxes(1, 2), out=grad_w[i])
+            gi.sum(axis=2, out=grad_b[i])
+            np.matmul(self.w.T, gi, out=grad_x[i])
+        return grad_x.reshape(x.shape), {"w": grad_w.reshape((-1,) + self.w.shape).sum(axis=0),
+                                         "b": grad_b.reshape(-1, self.b.size).sum(axis=0)}
+
+
+class PointwiseConv2dMaxPool(PointwiseConv2d):
+    """A 1x1 convolution, then the per-frame max over the pixels: [N, T, Cin, H, W] -> [N, T, C].
+
+    The max keeps the response of sparse localized patterns at full
+    strength, where a mean would dilute it by H x W and starve the
+    gradients upstream on blob-like data. It is order-free per frame, so
+    it cannot leak temporal information. The forward runs one clip at a
+    time, so the conv's map of a clip stays in cache and the map of the
+    batch is never built. The tape is (x, idx), with idx [N, T, C] the
+    first pixel of each maximum, as np.argmax picks it: the pooled
+    gradient reaches those pixels only, so the backward reads x there and
+    nowhere else.
+    """
+
+    def forward(self, x):
+        x4 = self._pixels(x)
+        y = np.empty(x.shape[:2] + (self.w.shape[0],))
+        idx = np.empty(y.shape, dtype=np.intp)
+        for i, xi in enumerate(x4):
+            z = np.matmul(self.w, xi)
+            z += self.b[:, None]
+            idx[i] = np.argmax(z, axis=2)
+            y[i] = np.take_along_axis(z, idx[i][..., None], axis=2)[..., 0]
+        return y, (x, idx)
+
+    def backward(self, grad_y, tape):
+        x, idx = tape
+        n, t, cin, h, w = x.shape
+        x3 = self._pixels(x).reshape(n * t, cin, h * w)
+        at = idx.reshape(n * t, -1)
+        g = grad_y.reshape(n * t, -1)
+        xg = np.take_along_axis(x3, at[:, None, :], axis=2).swapaxes(1, 2)     # [NT, C, Cin]
+        grad_w = (g[:, :, None] * xg).sum(axis=0)
+        # column c of cols is the pooled gradient at channel c's argmax pixel,
+        # so w.T @ cols is grad_x at those pixels, summed as the dense map's
+        # matmul sums it; every other pixel gets no gradient
+        cols = np.where(at[:, :, None] == at[:, None, :], g[:, :, None], 0.0)  # [NT, C, C]
+        rows = np.arange(n * t * cin).reshape(n * t, cin, 1) * (h * w)
+        grad_x = np.zeros(x.size)
+        grad_x[(rows + at[:, None, :]).reshape(-1)] = np.matmul(self.w.T, cols).reshape(-1)
+        return grad_x.reshape(x.shape), {"w": grad_w, "b": g.sum(axis=0)}
 
 
 class ReLU(Layer):
@@ -144,33 +232,6 @@ class TemporalConv(Layer):
 def _frames(x: np.ndarray) -> np.ndarray:
     """[N, C, T, H*W] view of a C-ordered [N, T, C, H, W] map; writes land in x."""
     return x.reshape(x.shape[:3] + (-1,)).swapaxes(1, 2)
-
-
-class SpatialPool(Layer):
-    """Per-frame max over the pixels: [N, T, C, H, W] -> [N, T, C].
-
-    The toy nets max-pool conv2's pre-activations. The max keeps the
-    response of sparse localized patterns at full strength, where a mean
-    would dilute it by H x W and starve the gradients upstream on
-    blob-like data. It is order-free per frame, so it cannot leak temporal
-    information.
-    """
-
-    def __init__(self, name: str = "spool"):
-        self.name = name
-
-    def forward(self, x):
-        n, t, c, h, w = x.shape
-        flat = x.reshape(n, t, c, h * w)
-        idx = np.argmax(flat, axis=3)
-        return np.take_along_axis(flat, idx[..., None], axis=3)[..., 0], (x.shape, idx)
-
-    def backward(self, grad_y, tape):
-        shape, idx = tape
-        n, t, c, h, w = shape
-        g = np.zeros((n, t, c, h * w))
-        np.put_along_axis(g, idx[..., None], grad_y[..., None], axis=3)
-        return g.reshape(shape), {}
 
 
 class TemporalMean(Layer):
@@ -384,9 +445,10 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
                  weightnet_input: str = "descriptor", head_scale: float = 0.1) -> Chain:
     """Per-frame conv net with one optional temporal-mixing layer.
 
-    conv1 -> relu1 -> [tin | tconv] -> conv2 -> spool(max) -> relu2 -> tmean
-    -> head; relu2 follows the pool as max(relu(z)) = relu(max(z)). temporal
-    selects the layer under test: "tin" (interlace block), "tcn" (trainable
+    conv1(+relu) -> [tin | tconv] -> conv2(+max-pool) -> relu2 -> tmean ->
+    head. conv1 is a PointwiseConv2dReLU and conv2 a PointwiseConv2dMaxPool,
+    [N, T, C, H, W] -> [N, T, C]; relu2 follows the pool as max(relu(z)) =
+    relu(max(z)). temporal selects the layer under test: "tin" (interlace block), "tcn" (trainable
     per-channel 3-tap temporal conv), or "none" (temporally blind baseline).
     Per-name child streams make shared layers identical across the variants.
     """
@@ -395,8 +457,7 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
     if hidden < 1:
         raise ShapeError(f"hidden width must be at least 1, got {hidden}")
     layers: list[Layer] = [
-        PointwiseConv2d(cin, hidden, rng.child("conv1"), "conv1"),
-        ReLU("relu1"),
+        PointwiseConv2dReLU(cin, hidden, rng.child("conv1"), "conv1"),
     ]
     if temporal == "tin":
         cfg = cfg or InterlaceConfig(t=t, c=hidden)
@@ -406,8 +467,7 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
     elif temporal == "tcn":
         layers.append(TemporalConv(hidden, "tconv"))
     layers += [
-        PointwiseConv2d(hidden, hidden, rng.child("conv2"), "conv2"),
-        SpatialPool(),
+        PointwiseConv2dMaxPool(hidden, hidden, rng.child("conv2"), "conv2"),
         ReLU("relu2"),
         TemporalMean(),
         Linear(hidden, k_classes, rng.child("head"), "head", scale=head_scale),
@@ -428,7 +488,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if not np.all((labels >= 0) & (labels < k)):
         raise ShapeError(f"labels must lie in [0, {k})")
     assert_finite(logits, "logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    top = logits.max(axis=1, keepdims=True)
+    # halving is exact, so the halves spread past max / 2 exactly where the
+    # subtraction below would overflow to -inf
+    if np.any(0.5 * top - 0.5 * logits.min(axis=1, keepdims=True) > np.finfo(float).max / 2):
+        raise NonFiniteError("logits of one clip lie too far apart to subtract")
+    shifted = logits - top
     logz = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(logz - shifted[np.arange(n), labels]))
     probs = np.exp(shifted) / np.exp(logz)[:, None]

@@ -16,8 +16,9 @@ the layers of the generator nets (conv1d.single_out, conv1d.multi_out, fc,
 sigmoid), both nets (offsetnet.params, weightnet.params and
 weightnet.channel_mean), each per-frame layer on its own
 (layer.pointwise_conv2d, layer.relu, layer.temporal_conv,
-layer.spatial_pool.max, layer.temporal_mean, layer.linear), the
-block (tin_block) and a toy net (toy_net.end_to_end).
+layer.temporal_mean, layer.linear) and fused (layer.conv_relu,
+layer.conv_max_pool), the block (tin_block) and a toy net
+(toy_net.end_to_end).
 """
 
 from __future__ import annotations
@@ -288,11 +289,17 @@ def standard_checks(seed: int = 0) -> list:
     tconv = blocks.TemporalConv(4, "tconv")     # random taps: the identity init uses one tap only
     tconv.taps[:] = rng.child("tconv").uniform([4, 3], -1.0, 1.0)
     pw = blocks.PointwiseConv2d(3, 4, rng.child("pw"), "pw")
+    fused = {}
+    for name, cls in (("layer.conv_relu", blocks.PointwiseConv2dReLU),
+                      ("layer.conv_max_pool", blocks.PointwiseConv2dMaxPool)):
+        fused[name] = cls(3, 4, rng.child(f"{name}.w"), "pw")
+        fused[name].b[:] = rng.child(f"{name}.b").uniform([4], -0.5, 0.5)
     for name, layer, shape in (
             ("layer.pointwise_conv2d", pw, [2, 3, 3, 2, 2]),
             ("layer.relu", blocks.ReLU(), [2, 3, 4, 2, 2]),
             ("layer.temporal_conv", tconv, [2, 3, 4, 2, 2]),
-            ("layer.spatial_pool.max", blocks.SpatialPool(), [2, 3, 4, 3, 3]),
+            ("layer.conv_relu", fused["layer.conv_relu"], [2, 3, 3, 2, 2]),
+            ("layer.conv_max_pool", fused["layer.conv_max_pool"], [2, 3, 3, 3, 3]),
             ("layer.temporal_mean", blocks.TemporalMean(), [2, 3, 4]),
             ("layer.linear", blocks.Linear(4, 3, rng.child("linear"), "linear"), [2, 4])):
         checks.append(layer_check(name, layer, rng.child(name).uniform(shape, -1.0, 1.0)))

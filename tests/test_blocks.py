@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tin import blocks
-from tin.blocks import (Linear, PointwiseConv2d, ReLU, SpatialPool, TemporalConv,
-                        TemporalMean, TinBlock, Chain, cross_entropy, make_toy_net)
+from tin.blocks import (Layer, Linear, PointwiseConv2d, PointwiseConv2dMaxPool,
+                        PointwiseConv2dReLU, ReLU, TemporalConv, TemporalMean, TinBlock, Chain,
+                        cross_entropy, make_toy_net)
 from tin.errors import ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
 from tin.tcn import DenseTemporalKernel, dense_tconv
@@ -227,9 +228,69 @@ def test_no_layer_writes_into_its_input_gradient_or_tape(temporal):
         g = grad_x
 
 
+class _Conv(Layer):
+    """A fused layer's 1x1 conv alone, through PointwiseConv2d's own forward and backward."""
+
+    def __init__(self, fused):
+        self.name, self.fused = fused.name, fused
+
+    def named_params(self):
+        return self.fused.named_params()
+
+    def forward(self, x):
+        return PointwiseConv2d.forward(self.fused, x)
+
+    def backward(self, grad_y, x):
+        return PointwiseConv2d.backward(self.fused, grad_y, x)
+
+
+class _SpatialPool(Layer):
+    """The max-pool that conv2 absorbed, kept here as the oracle of the fused one.
+
+    Its backward puts each pooled gradient into a dense zero map at the
+    argmax pixel, and conv2's backward then runs over that whole map.
+    """
+    name = "spool"
+
+    def forward(self, x):
+        flat = x.reshape(x.shape[:3] + (-1,))
+        idx = np.argmax(flat, axis=3)
+        return np.take_along_axis(flat, idx[..., None], axis=3)[..., 0], (x.shape, idx)
+
+    def backward(self, grad_y, tape):
+        shape, idx = tape
+        g = np.zeros(shape[:3] + (shape[3] * shape[4],))
+        np.put_along_axis(g, idx[..., None], grad_y[..., None], axis=3)
+        return g.reshape(shape), {}
+
+
+def _unfused(net: Chain, relu_first: bool = False) -> Chain:
+    """The layer chain before the fusion, on the same parameter arrays.
+
+    conv1 -> relu1 -> ... -> conv2 -> spool -> relu2, or conv2 -> relu2 ->
+    spool with relu_first.
+    """
+    layers = []
+    for layer in net.layers:
+        if isinstance(layer, PointwiseConv2dReLU):
+            layers += [_Conv(layer), ReLU("relu1")]
+        elif isinstance(layer, PointwiseConv2dMaxPool):
+            layers += [_Conv(layer), _SpatialPool()]
+        else:
+            layers.append(layer)
+    if relu_first:
+        i = [layer.name for layer in layers].index("spool")
+        assert layers[i + 1].name == "relu2"
+        layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return Chain(layers)
+
+
 def test_spatial_pool_takes_the_per_frame_max():
-    x = Rng(9).uniform([2, 3, 4, 5, 5], -1.0, 1.0)
-    y, _ = SpatialPool().forward(x)
+    rng = Rng(9)
+    layer = PointwiseConv2dMaxPool(4, 4, rng.child("w"), "conv2")
+    layer.w[:] = np.eye(4)                 # the conv is the identity: a pure max-pool
+    x = rng.child("x").uniform([2, 3, 4, 5, 5], -1.0, 1.0)
+    y, _ = layer.forward(x)
     assert y.shape == (2, 3, 4)
     assert np.array_equal(y, x.max(axis=(3, 4)))
 
@@ -237,7 +298,8 @@ def test_spatial_pool_takes_the_per_frame_max():
 def test_spatial_pool_backward_routes_correctly():
     rng = Rng(10)
     x = rng.uniform([1, 2, 2, 3, 3], -1.0, 1.0)
-    pool = SpatialPool()
+    pool = PointwiseConv2dMaxPool(2, 2, rng.child("w"), "conv2")
+    pool.w[:] = np.eye(2)
     y, tape = pool.forward(x)
     g = rng.child("max").uniform(y.shape, -1.0, 1.0)
     gx, _ = pool.backward(g, tape)
@@ -248,6 +310,124 @@ def test_spatial_pool_backward_routes_correctly():
             want = np.zeros(9)
             want[np.argmax(x[0, t, c])] = g[0, t, c]
             assert np.array_equal(gx[0, t, c].reshape(-1), want)
+
+
+@pytest.mark.parametrize("n, t, cin, cout, h, w", [(3, 4, 5, 6, 6, 6), (2, 3, 1, 16, 4, 5),
+                                                   (4, 8, 16, 16, 16, 16)])
+def test_conv_max_pool_matches_the_dense_pair(n, t, cin, cout, h, w):
+    rng = Rng(100 * n + 10 * t + cin)
+    layer = PointwiseConv2dMaxPool(cin, cout, rng.child("w"), "conv2")
+    layer.b[:] = rng.child("b").uniform([cout], -0.5, 0.5)
+    x = rng.child("x").uniform([n, t, cin, h, w], -1.0, 1.0)
+    x[0, 0] = 0.5                          # a constant map: each channel ties at every pixel
+    conv, pool = _Conv(layer), _SpatialPool()
+    y, tape = layer.forward(x)
+    z, _ = conv.forward(x)
+    want, pool_tape = pool.forward(z)
+    assert y.tobytes() == want.tobytes()
+    assert not tape[1][0, 0].any()         # a tie goes to the first pixel, as np.argmax does
+    g = rng.child("g").uniform([n, t, cout], -1.0, 1.0)
+    grad_x, grads = layer.backward(g, tape)
+    dense, _ = pool.backward(g, pool_tape)
+    want_x, want_grads = conv.backward(dense, x)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert not grad_x[0, 0].reshape(cin, -1)[:, 1:].any()
+    # grad_x at a pixel sums w[c, k] * g[c] over the channels c whose maximum
+    # it is, by a matmul over fewer columns than the dense map's; a BLAS may
+    # order that sum otherwise, and any two orders of a sum of at most cout
+    # terms differ by at most cout * eps * (the sum of their magnitudes)
+    terms = np.matmul(np.abs(layer.w).T, np.abs(dense).reshape(n * t, cout, h * w))
+    bound = cout * np.finfo(float).eps * terms.reshape(x.shape)
+    assert np.all(np.abs(grad_x - want_x) <= bound)
+
+
+def test_conv_relu_matches_the_conv_then_relu():
+    rng = Rng(20)
+    layer = PointwiseConv2dReLU(1, 16, rng.child("w"), "conv1")
+    layer.b[:] = rng.child("b").uniform([16], -0.5, 0.5)
+    x = rng.child("x").uniform([4, 8, 1, 16, 16], -1.0, 1.0)
+    old = _unfused(Chain([layer]))
+    y, tape = layer.forward(x)
+    want, old_tapes = old.forward(x)
+    assert y.tobytes() == want.tobytes()
+    g = rng.child("g").uniform(list(y.shape), -1.0, 1.0)
+    grad_x, grads = layer.backward(g, tape)
+    want_x, want_grads = old.backward(g, old_tapes)
+    assert grad_x.tobytes() == want_x.tobytes()
+    assert {f"conv1.{k}" for k in grads} == want_grads.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == want_grads[f"conv1.{name}"].tobytes(), name
+
+
+def _nudged_toy_net(rng: Rng, temporal: str) -> Chain:
+    """A toy net whose temporal layer is off its identity init."""
+    net = make_toy_net(8, 1, 3, rng.child("net"), temporal=temporal)
+    params = net.named_params()
+    for name in ("tin.onet.fc2.b", "tin.wnet.conv.b", "tconv.taps"):
+        if name in params:
+            params[name][...] = rng.child(name).uniform(params[name].shape, -1.0, 1.0)
+    return net
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_fused_layers_match_the_unfused_chain(temporal):
+    rng = Rng(21)
+    net = _nudged_toy_net(rng, temporal)
+    assert [layer.name for layer in net.layers] == \
+        ["conv1"] + {"tin": ["tin"], "tcn": ["tconv"], "none": []}[temporal] + \
+        ["conv2", "relu2", "tmean", "head"]
+    old = _unfused(net)
+    x = rng.child("x").uniform([4, 8, 1, 6, 6], -1.0, 1.0)
+    logits, tapes = net.forward(x)
+    old_logits, old_tapes = old.forward(x)
+    assert logits.tobytes() == old_logits.tobytes()
+    g = rng.child("g").uniform(list(logits.shape), -1.0, 1.0)
+    grad_x, grads = net.backward(g, tapes)
+    old_grad_x, old_grads = old.backward(g, old_tapes)
+    assert grads.keys() == old_grads.keys()
+    for name in ("conv2.w", "conv2.b", "head.w", "head.b"):
+        assert grads[name].tobytes() == old_grads[name].tobytes(), name
+    # below conv2 the gradients may carry the rounding of its input gradient
+    # that test_conv_max_pool_matches_the_dense_pair bounds
+    for name, grad in list(grads.items()) + [("x", grad_x)]:
+        want = old_grad_x if name == "x" else old_grads[name]
+        assert np.max(np.abs(grad - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_max_pool_before_relu2_matches_relu_then_pool(temporal):
+    # ReLU is monotone, so max_p relu(z_p) = relu(max_p z_p): the old
+    # order conv2 -> relu2 -> spool is the oracle for the new one
+    rng = Rng(19)
+    net = _nudged_toy_net(rng, temporal)
+    params = net.named_params()
+    # clip 0 reaches conv2 as zeros, so its map of channel c is conv2.b[c]
+    # at every pixel: channel 0 is all below zero, channel 1 a tie at a
+    # positive max
+    params["conv2.b"][:2] = [-0.3, 0.2]
+    x = rng.child("x").uniform([4, 8, 1, 6, 6], -1.0, 1.0)
+    x[0] = 0.0
+    new, old = _unfused(net), _unfused(net, relu_first=True)
+    logits, tapes = net.forward(x)
+    new_logits, new_tapes = new.forward(x)
+    old_logits, old_tapes = old.forward(x)
+    assert logits.tobytes() == old_logits.tobytes() == new_logits.tobytes()
+    relu2_out = tapes[[l.name for l in net.layers].index("relu2")]
+    assert relu2_out.shape == (4, 8, 16)       # relu2 runs on the pooled values
+    assert np.all(relu2_out[0, :, 0] == 0.0) and np.all(relu2_out[0, :, 1] == 0.2)
+    g = rng.child("g").uniform(list(logits.shape), -1.0, 1.0)
+    # the order is compared on the dense backward of both; the fused one
+    # is test_fused_layers_match_the_unfused_chain
+    grad_x, grads = new.backward(g, new_tapes)
+    old_grad_x, old_grads = old.backward(g, old_tapes)
+    # values, not bytes: where a map's max is <= 0 and its pooled gradient
+    # negative, the -0.0 now sits at argmax(z) rather than at pixel 0
+    assert np.array_equal(grad_x, old_grad_x)
+    assert grads.keys() == old_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, old_grads[name]), name
 
 
 def test_toy_net_drop_in_neutrality():
@@ -279,50 +459,6 @@ def test_toy_net_initial_loss_near_log_k():
         logits, _ = net.forward(x)
         loss, _, _ = cross_entropy(logits, labels)
         assert abs(loss - math.log(k)) < 0.05
-
-
-def _relu_then_pool(net: Chain) -> Chain:
-    """The same layer objects with relu2 back in front of the max-pool."""
-    names = [l.name for l in net.layers]
-    i = names.index("spool")
-    assert names[i + 1] == "relu2"
-    layers = list(net.layers)
-    layers[i], layers[i + 1] = layers[i + 1], layers[i]
-    return Chain(layers)
-
-
-@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
-def test_max_pool_before_relu2_matches_relu_then_pool(temporal):
-    # ReLU is monotone, so max_p relu(z_p) = relu(max_p z_p): the old
-    # order conv2 -> relu2 -> spool is the oracle for the new one
-    rng = Rng(19)
-    net = make_toy_net(8, 1, 3, rng.child("net"), temporal=temporal)
-    params = net.named_params()
-    for name in ("tin.onet.fc2.b", "tin.wnet.conv.b", "tconv.taps"):
-        if name in params:
-            params[name][...] = rng.child(name).uniform(params[name].shape, -1.0, 1.0)
-    # clip 0 reaches conv2 as zeros, so its map of channel c is conv2.b[c]
-    # at every pixel: channel 0 is all below zero, channel 1 a tie at a
-    # positive max
-    params["conv2.b"][:2] = [-0.3, 0.2]
-    x = rng.child("x").uniform([4, 8, 1, 6, 6], -1.0, 1.0)
-    x[0] = 0.0
-    old = _relu_then_pool(net)
-    logits, tapes = net.forward(x)
-    old_logits, old_tapes = old.forward(x)
-    assert logits.tobytes() == old_logits.tobytes()
-    relu2_out = tapes[[l.name for l in net.layers].index("relu2")]
-    assert relu2_out.shape == (4, 8, 16)       # relu2 runs on the pooled values
-    assert np.all(relu2_out[0, :, 0] == 0.0) and np.all(relu2_out[0, :, 1] == 0.2)
-    g = rng.child("g").uniform(list(logits.shape), -1.0, 1.0)
-    grad_x, grads = net.backward(g, tapes)
-    old_grad_x, old_grads = old.backward(g, old_tapes)
-    # values, not bytes: where a map's max is <= 0 and its pooled gradient
-    # negative, the -0.0 now sits at argmax(z) rather than at pixel 0
-    assert np.array_equal(grad_x, old_grad_x)
-    assert grads.keys() == old_grads.keys()
-    for name, grad in grads.items():
-        assert np.array_equal(grad, old_grads[name]), name
 
 
 def test_toy_net_removing_block_keeps_shapes_valid():

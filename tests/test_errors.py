@@ -89,6 +89,7 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
     (lambda: _tconv_with(tap_value=-np.inf), NonFiniteError),
     (lambda: cross_entropy(np.array([[np.inf, 0.0]]), np.array([0])), NonFiniteError),
     (lambda: cross_entropy(np.array([[0.0, -np.inf]]), np.array([1])), NonFiniteError),
+    (lambda: cross_entropy(np.array([[1e308, -1e308]]), np.array([1])), NonFiniteError),
     (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), 0, False), ShapeError),
     (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), -2, True), ShapeError),
     (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, False), ShapeError),
@@ -108,7 +109,8 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
         "equiv-kernel-inf-weight", "equiv-kernel-weight-five", "equiv-kernel-weight-two",
         "equiv-kernel-weight-zero", "equiv-kernel-negative-weight", "dense-tconv-nan-input",
         "dense-tconv-inf-input", "dense-tconv-nan-tap", "dense-tconv-inf-tap",
-        "cross-entropy-inf-logit", "cross-entropy-minus-inf-logit", "rescale-zero-frames",
+        "cross-entropy-inf-logit", "cross-entropy-minus-inf-logit",
+        "cross-entropy-logits-overflow-apart", "rescale-zero-frames",
         "rescale-negative-frames-mirror", "rescale-vjp-zero-frames",
         "rescale-vjp-zero-frames-mirror"])
 @pytest.mark.filterwarnings("error")
@@ -129,5 +131,6 @@ def test_counts_at_their_floor_stay_valid():
     _kernel_with_weight(1e-6)
     _kernel_with_weight(2.0 - 1e-6)
     _tconv_with()
+    assert np.isfinite(cross_entropy(np.array([[1e308, -7e307]]), np.array([1]))[0])
     nets.rescale_offsets(np.array([0.5, 0.5]), 1, True)
     nets.rescale_offsets_vjp(np.ones(2), 1, True)

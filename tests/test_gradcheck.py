@@ -79,7 +79,7 @@ def test_registry_covers_every_operator():
                      "offsetnet.params", "weightnet.params", "weightnet.channel_mean",
                      "cross_entropy",
                      "tin_block", "toy_net.end_to_end", "layer.pointwise_conv2d",
-                     "layer.relu", "layer.temporal_conv", "layer.spatial_pool.max",
+                     "layer.relu", "layer.temporal_conv", "layer.conv_relu", "layer.conv_max_pool",
                      "layer.temporal_mean", "layer.linear"):
         assert expected in names
 

@@ -109,8 +109,9 @@ def test_weight_means_average_every_tin_layer():
     tr, va = standardize(generate_task(spec, "train"), generate_task(spec, "val"))
     net = build_net(spec, "tin", seed=0)
     second = TinBlock(InterlaceConfig(t=8, c=16), Rng(1), "tin_b")
-    net = Chain(net.layers[:3] + [second] + net.layers[3:])
-    net.layers[2].wnet.bias[:] = 1.0           # weights 2 * sigmoid(1) ~ 1.46
+    i = [layer.name for layer in net.layers].index("tin")
+    net = Chain(net.layers[:i + 1] + [second] + net.layers[i + 1:])
+    net.layers[i].wnet.bias[:] = 1.0           # weights 2 * sigmoid(1) ~ 1.46
     second.wnet.bias[:] = -2.0                 # weights 2 * sigmoid(-2) ~ 0.24
     rec = train(net, tr, va, TrainConfig(lr=0.0, epochs=1, seed=0, batch_size=32))
     layers = np.asarray(rec.weight_traj[-1])
