@@ -6,10 +6,10 @@ weightnet(pool(u))). The toy video classifiers run conv1(+relu) -> [tin |
 tconv] -> conv2(+max-pool) -> relu2 -> tmean -> head; their only temporal
 mixing is the block under test (tin, or tconv, a per-channel trainable
 temporal conv): without it they are provably blind to frame order. Each
-per-frame layer is one fused layer: conv1 applies its ReLU in place on its
-own output, and conv2 max-pools each frame's pixels one clip at a time, so
-its backward reads only the argmax pixels. relu2 follows the pool as
-max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
+per-frame stage is one fused layer, run one clip at a time: conv1 applies
+its ReLU in place on its own output, and conv2 keeps only each frame's max
+over the pixels, so its backward reads only the argmax pixels. relu2
+follows the pool as max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
 
 The generator nets are chains of small layers over descriptors [N, C, T]:
 OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
@@ -93,13 +93,11 @@ class PointwiseConv2d(Linear):
 class PointwiseConv2dReLU(PointwiseConv2d):
     """A 1x1 convolution, then max(y, 0), both passes one clip at a time.
 
-    A clip's [T, C, H*W] block stays in cache through the matmul, the bias
-    and the ReLU, and through the mask and the three products of the
-    backward. Every product and sum is taken per frame as PointwiseConv2d
-    takes it, and the per-frame parameter gradients are summed over the
-    batch as it sums them, so the bits are those of PointwiseConv2d
-    followed by ReLU. The tape is (x, y): the conv's gradients read x and
-    the ReLU's mask y.
+    A clip's [T, C, H*W] block stays in cache through the matmul, bias and
+    ReLU, and through the mask and three products of the backward. Each
+    product and sum is formed per frame, and summed over the batch, as
+    PointwiseConv2d forms them, so the bits are those of PointwiseConv2d
+    then ReLU. The tape is (x, y): x for the conv, y for the ReLU's mask.
     """
 
     def forward(self, x):
