@@ -312,6 +312,37 @@ def test_spatial_pool_backward_routes_correctly():
             assert np.array_equal(gx[0, t, c].reshape(-1), want)
 
 
+def test_toy_net_drop_in_neutrality():
+    # identical seed, with and without the block: logits must match exactly
+    rng_seed = 11
+    x = Rng(12).uniform([4, 8, 2, 16, 16], -1.0, 1.0)
+    with_tin = make_toy_net(8, 2, 3, Rng(rng_seed), hidden=16, temporal="tin")
+    without = make_toy_net(8, 2, 3, Rng(rng_seed), hidden=16, temporal="none")
+    la, _ = with_tin.forward(x)
+    lb, _ = without.forward(x)
+    assert np.max(np.abs(la - lb)) < 1e-10
+
+
+def test_toy_net_tcn_drop_in_neutrality():
+    x = Rng(13).uniform([2, 8, 2, 8, 8], -1.0, 1.0)
+    with_tcn = make_toy_net(8, 2, 2, Rng(14), hidden=16, temporal="tcn")
+    without = make_toy_net(8, 2, 2, Rng(14), hidden=16, temporal="none")
+    la, _ = with_tcn.forward(x)
+    lb, _ = without.forward(x)
+    assert np.max(np.abs(la - lb)) < 1e-10
+
+
+def test_toy_net_initial_loss_near_log_k():
+    rng = Rng(15)
+    for k in (2, 5):
+        net = make_toy_net(8, 1, k, rng.child(f"net{k}"), hidden=16)
+        x = rng.child(f"x{k}").uniform([64, 8, 1, 16, 16], 0.0, 1.0)
+        labels = np.arange(64) % k
+        logits, _ = net.forward(x)
+        loss, _, _ = cross_entropy(logits, labels)
+        assert abs(loss - math.log(k)) < 0.05
+
+
 @pytest.mark.parametrize("n, t, cin, cout, h, w", [(3, 4, 5, 6, 6, 6), (2, 3, 1, 16, 4, 5),
                                                    (4, 8, 16, 16, 16, 16)])
 def test_conv_max_pool_matches_the_dense_pair(n, t, cin, cout, h, w):
@@ -428,37 +459,6 @@ def test_max_pool_before_relu2_matches_relu_then_pool(temporal):
     assert grads.keys() == old_grads.keys()
     for name, grad in grads.items():
         assert np.array_equal(grad, old_grads[name]), name
-
-
-def test_toy_net_drop_in_neutrality():
-    # identical seed, with and without the block: logits must match exactly
-    rng_seed = 11
-    x = Rng(12).uniform([4, 8, 2, 16, 16], -1.0, 1.0)
-    with_tin = make_toy_net(8, 2, 3, Rng(rng_seed), hidden=16, temporal="tin")
-    without = make_toy_net(8, 2, 3, Rng(rng_seed), hidden=16, temporal="none")
-    la, _ = with_tin.forward(x)
-    lb, _ = without.forward(x)
-    assert np.max(np.abs(la - lb)) < 1e-10
-
-
-def test_toy_net_tcn_drop_in_neutrality():
-    x = Rng(13).uniform([2, 8, 2, 8, 8], -1.0, 1.0)
-    with_tcn = make_toy_net(8, 2, 2, Rng(14), hidden=16, temporal="tcn")
-    without = make_toy_net(8, 2, 2, Rng(14), hidden=16, temporal="none")
-    la, _ = with_tcn.forward(x)
-    lb, _ = without.forward(x)
-    assert np.max(np.abs(la - lb)) < 1e-10
-
-
-def test_toy_net_initial_loss_near_log_k():
-    rng = Rng(15)
-    for k in (2, 5):
-        net = make_toy_net(8, 1, k, rng.child(f"net{k}"), hidden=16)
-        x = rng.child(f"x{k}").uniform([64, 8, 1, 16, 16], 0.0, 1.0)
-        labels = np.arange(64) % k
-        logits, _ = net.forward(x)
-        loss, _, _ = cross_entropy(logits, labels)
-        assert abs(loss - math.log(k)) < 0.05
 
 
 def test_toy_net_removing_block_keeps_shapes_valid():
