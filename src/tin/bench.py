@@ -15,7 +15,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,20 +36,6 @@ class FlopsReport:
     convention: str = CONVENTION
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, "shape": self.shape, "madds": self.madds,
-                "flops": self.flops, "params": self.params,
-                "convention": self.convention, "notes": self.notes}
-
-
-def _interlace_counts(t, c, h, w, shift_fraction, g):
-    cs = 0 if g == 0 else round(c * shift_fraction)
-    per_elem = t * cs * h * w
-    # two-tap blend: 2 mults + 1 add; attention: 1 mult
-    madds = 3 * per_elem
-    flops = 4 * per_elem
-    return cs, madds, flops
-
 
 def count_flops(op: str, **shape) -> FlopsReport:
     """Analytic multiply-add / FLOP / parameter counts for one operator.
@@ -57,31 +43,28 @@ def count_flops(op: str, **shape) -> FlopsReport:
     Supported ops: interlace, tin_module, dense_tconv. Shapes use t, c, h, w
     plus op-specific keys (shift_fraction, g, k).
     """
-    if op == "interlace":
-        t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
-        g = shape.get("g", 4)
-        frac = shape.get("shift_fraction", 0.25)
-        cs, madds, flops = _interlace_counts(t, c, h, w, frac, g)
-        return FlopsReport(op, shape, madds, flops, 0, notes={"c_shift": cs})
-    if op == "tin_module":
-        t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
-        g = shape.get("g", 4)
-        frac = shape.get("shift_fraction", 0.25)
-        cs, madds, flops = _interlace_counts(t, c, h, w, frac, g)
-        pool_flops = t * c * h * w + t * c
-        onet_madds = 3 * c * t + t * t + t * g
-        wnet_madds = 3 * c * g * t
-        madds += onet_madds + wnet_madds
-        flops += pool_flops + 2 * (onet_madds + wnet_madds)
-        params = (3 * c) + (t * t + t) + (t * g + g) + (3 * c * g + g)
-        return FlopsReport(op, shape, madds, flops, params,
-                           notes={"c_shift": cs, "pool_flops": pool_flops})
+    if op not in ("interlace", "tin_module", "dense_tconv"):
+        raise ConfigError(f"unsupported op {op!r} for flops counting")
+    t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
     if op == "dense_tconv":
-        t, c, h, w = shape["t"], shape["c"], shape["h"], shape["w"]
         k = shape.get("k", 3)
         per_elem = t * c * h * w
         return FlopsReport(op, shape, k * per_elem, (2 * k - 1) * per_elem, k * c)
-    raise ConfigError(f"unsupported op {op!r} for flops counting")
+    g = shape.get("g", 4)
+    cs = 0 if g == 0 else round(c * shape.get("shift_fraction", 0.25))
+    per_elem = t * cs * h * w
+    # two-tap blend: 2 mults + 1 add; attention: 1 mult
+    madds, flops = 3 * per_elem, 4 * per_elem
+    if op == "interlace":
+        return FlopsReport(op, shape, madds, flops, 0, notes={"c_shift": cs})
+    pool_flops = t * c * h * w + t * c
+    onet_madds = 3 * c * t + t * t + t * g
+    wnet_madds = 3 * c * g * t
+    madds += onet_madds + wnet_madds
+    flops += pool_flops + 2 * (onet_madds + wnet_madds)
+    params = (3 * c) + (t * t + t) + (t * g + g) + (3 * c * g + g)
+    return FlopsReport(op, shape, madds, flops, params,
+                       notes={"c_shift": cs, "pool_flops": pool_flops})
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +131,7 @@ def _dtype_of(precision: str):
 
 
 def make_op(op: str, t: int, c: int, h: int, w: int, precision: str = "f64",
-            seed: int = 0, shift_fraction: float = 0.25, g: int = 4,
-            identity: bool = False):
+            seed: int = 0, identity: bool = False):
     """Build a zero-argument callable computing the operator on fixed data."""
     if min(t, c, h, w) < 1:
         raise ConfigError(f"benchmark shape needs every extent >= 1, got t={t} c={c} h={h} w={w}")
@@ -157,13 +139,13 @@ def make_op(op: str, t: int, c: int, h: int, w: int, precision: str = "f64",
     rng = Rng(seed)
     u = rng.uniform([t, c, h, w], -1.0, 1.0).astype(dtype)
     if op == "interlace":
-        cfg = InterlaceConfig(t=t, c=c, g=g, shift_fraction=shift_fraction, mirror=False)
+        cfg = InterlaceConfig(t=t, c=c, g=4, shift_fraction=0.25, mirror=False)
         if identity:
-            offsets = np.zeros(g)
-            weights = np.ones((g, t))
+            offsets = np.zeros(cfg.g)
+            weights = np.ones((cfg.g, t))
         else:
-            offsets = rng.child("off").uniform([g], -t / 2 + 0.6, t / 2 - 0.6)
-            weights = rng.child("wgt").uniform([g, t], 0.2, 1.8)
+            offsets = rng.child("off").uniform([cfg.g], -t / 2 + 0.6, t / 2 - 0.6)
+            weights = rng.child("wgt").uniform([cfg.g, t], 0.2, 1.8)
         return lambda: interlace_forward(u, offsets, weights, cfg)[0]
     if op == "dense_tconv":
         taps = rng.child("taps").uniform([c, 3], -0.5, 0.5).astype(dtype)
@@ -179,7 +161,7 @@ def make_op(op: str, t: int, c: int, h: int, w: int, precision: str = "f64",
         return run
     if op == "tin_module":
         from .blocks import TinBlock
-        cfg = InterlaceConfig(t=t, c=c, g=g, shift_fraction=shift_fraction, mirror=False)
+        cfg = InterlaceConfig(t=t, c=c, g=4, shift_fraction=0.25, mirror=False)
         block = TinBlock(cfg, rng.child("block"))
         return lambda: block.forward(u)[0]
     raise ConfigError(f"unsupported op {op!r} for latency benchmarking")
@@ -253,8 +235,8 @@ def flops_summary() -> dict:
     dense = count_flops("dense_tconv", **shape, k=3)
     over = tin_overhead()
     return {
-        "interlace": inter.to_dict(),
-        "dense_tconv3": dense.to_dict(),
+        "interlace": asdict(inter),
+        "dense_tconv3": asdict(dense),
         "flops_ratio": inter.flops / dense.flops,
         "madds_ratio": inter.madds / dense.madds,
         "resnet50_context": over,

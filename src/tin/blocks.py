@@ -13,7 +13,8 @@ follows the pool as max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
 
 The generator nets are chains of small layers over descriptors [N, C, T]:
 OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
-WeightNet = [ChannelMean] -> Conv1d -> Sigmoid x2.
+WeightNet = [ChannelMean] -> Conv1d -> Sigmoid x2. Both are DescriptorNets,
+which reject a descriptor of any other C or T with ShapeError.
 
 Every layer follows the same protocol: forward(x) -> (y, tape),
 backward(grad_y, tape) -> (grad_x, param_grad_dict), named_params().
@@ -356,7 +357,18 @@ class Chain:
         return [l for l in self.layers if isinstance(l, TinBlock)]
 
 
-class OffsetNet(Chain):
+class DescriptorNet(Chain):
+    """A Chain over descriptors [N, C, T] of its own C and T, any other shape rejected."""
+
+    def forward(self, z):
+        z = np.asarray(z)
+        if z.ndim != 3 or z.shape[1:] != (self.c, self.t):
+            raise ShapeError(f"descriptor {z.shape} does not match the net's "
+                             f"[N, C={self.c}, T={self.t}]")
+        return super().forward(z)
+
+
+class OffsetNet(DescriptorNet):
     """Descriptor [N, C, T] -> raw per-group offsets in (0, 1), [N, G].
 
     A C -> 1 conv over time, then T -> T and T -> G fully connected
@@ -374,7 +386,7 @@ class OffsetNet(Chain):
         self.conv, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b = conv.w, fc1.w, fc1.b, fc2.w, fc2.b
 
 
-class WeightNet(Chain):
+class WeightNet(DescriptorNet):
     """Descriptor [N, C, T] -> per-group per-frame weights in (0, 2), [N, G, T].
 
     One conv over time (G outputs, with bias), then 2 * sigmoid. Kernel

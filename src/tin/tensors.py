@@ -84,18 +84,6 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def multi_index(shape, flat: int):
-    """The row-major multi-index of a flat index, as np.unravel_index gives it."""
-    n = _checked_numel(shape)
-    if not 0 <= flat < max(n, 1):
-        raise ShapeError(f"flat index {flat} out of bounds for shape {tuple(shape)}")
-    out = []
-    for e in reversed(shape):
-        out.append(flat % e)
-        flat //= e
-    return tuple(reversed(out))
-
-
 def save_tensor(path, x: np.ndarray) -> None:
     """Binary round-trip format: little-endian uint64 rank and extents,
     then raw float64 values in row-major order."""

@@ -66,23 +66,15 @@ class EpochStats:
 @dataclass
 class RunRecord:
     config: dict
-    epochs: list = field(default_factory=list)          # EpochStats
-    offset_traj: list = field(default_factory=list)     # per epoch: [layers][G]
-    weight_traj: list = field(default_factory=list)     # per epoch: [layers][T]
+    epochs: list = field(default_factory=list)                # EpochStats
+    offset_trajectory: list = field(default_factory=list)     # per epoch: [layers][G]
+    weight_trajectory: list = field(default_factory=list)     # per epoch: [layers][T]
     final_val_acc: float = 0.0
     boundary_weight_mean: float = 1.0
     center_weight_mean: float = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "epochs": [asdict(e) for e in self.epochs],
-            "offset_trajectory": self.offset_traj,
-            "weight_trajectory": self.weight_traj,
-            "final_val_acc": self.final_val_acc,
-            "boundary_weight_mean": self.boundary_weight_mean,
-            "center_weight_mean": self.center_weight_mean,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -135,8 +127,8 @@ def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
     probe = train_data.clips[: min(64, len(train_data.clips))]
     _, tapes = net.forward(probe)
     o0, w0 = _tin_stats(net, tapes)
-    record.offset_traj.append(o0)
-    record.weight_traj.append(w0)
+    record.offset_trajectory.append(o0)
+    record.weight_trajectory.append(w0)
 
     n = train_data.clips.shape[0]
     for epoch in range(cfg.epochs):
@@ -165,14 +157,14 @@ def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
         val_loss, val_acc = evaluate(net, val_data.clips, val_data.labels)
         record.epochs.append(EpochStats(epoch, lr, ep_loss / n, ep_correct / n,
                                         val_loss, val_acc))
-        record.offset_traj.append((off_acc / n_batches).tolist() if off_acc is not None else [])
-        record.weight_traj.append((wgt_acc / n_batches).tolist() if wgt_acc is not None else [])
+        record.offset_trajectory.append((off_acc / n_batches).tolist() if off_acc is not None else [])
+        record.weight_trajectory.append((wgt_acc / n_batches).tolist() if wgt_acc is not None else [])
         if cfg.stop_at_val_acc is not None and val_acc >= cfg.stop_at_val_acc:
             break
 
     record.final_val_acc = record.epochs[-1].val_acc if record.epochs else 0.0
-    if record.weight_traj and record.weight_traj[-1]:
-        w_last = np.asarray(record.weight_traj[-1]).mean(axis=0)    # over the tin layers
+    if record.weight_trajectory and record.weight_trajectory[-1]:
+        w_last = np.asarray(record.weight_trajectory[-1]).mean(axis=0)    # over the tin layers
         record.boundary_weight_mean = float((w_last[0] + w_last[-1]) / 2.0)
         record.center_weight_mean = float(w_last[1:-1].mean())
     return record
@@ -183,11 +175,11 @@ def log_trajectories(record: RunRecord, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "kind", "layer", "index", "value"])
-        for epoch, per_layer in enumerate(record.offset_traj):
+        for epoch, per_layer in enumerate(record.offset_trajectory):
             for li, groups in enumerate(per_layer):
                 for gi, val in enumerate(groups):
                     writer.writerow([epoch, "offset", li, gi, f"{val:.12g}"])
-        for epoch, per_layer in enumerate(record.weight_traj):
+        for epoch, per_layer in enumerate(record.weight_trajectory):
             for li, frames in enumerate(per_layer):
                 for ti, val in enumerate(frames):
                     writer.writerow([epoch, "weight", li, ti, f"{val:.12g}"])
@@ -221,6 +213,7 @@ def task_data(task_spec: SynthTask) -> tuple:
 
 def run_experiment(task_spec: SynthTask, temporal: str, cfg: TrainConfig,
                    **net_kwargs) -> RunRecord:
+    """Train build_net(task_spec, temporal, cfg.seed, **net_kwargs) on task_data(task_spec)."""
     train_data, val_data = task_data(task_spec)
     net = build_net(task_spec, temporal, cfg.seed, **net_kwargs)
     return train(net, train_data, val_data, cfg)
@@ -247,25 +240,16 @@ def run_ablation(task_spec: SynthTask, cfg: TrainConfig, groups=(1, 2, 4),
     if len(seeds) < 3 or len(set(seeds)) != len(seeds):
         raise ConfigError(f"ablation wants >= 3 distinct seeds, got {tuple(seeds)}")
     rows = []
-    for g in groups:
-        for mirror in mirrors:
-            accs = []
-            for seed in seeds:
-                run_cfg = TrainConfig(**{**asdict(cfg), "seed": seed})
-                spec = SynthTask(**{**asdict(task_spec), "seed": seed})
-                rec = run_experiment(spec, "tin", run_cfg, hidden=hidden,
-                                     learned_groups=g, mirror=mirror,
-                                     shift_fraction=shift_fraction)
-                accs.append(rec.final_val_acc)
-            rows.append(AblationRow(g, mirror, accs, float(np.mean(accs)),
-                                    min(accs), max(accs)))
-    accs = []
-    for seed in seeds:
-        run_cfg = TrainConfig(**{**asdict(cfg), "seed": seed})
-        spec = SynthTask(**{**asdict(task_spec), "seed": seed})
-        rec = run_experiment(spec, "none", run_cfg, hidden=hidden)
-        accs.append(rec.final_val_acc)
-    rows.append(AblationRow(None, None, accs, float(np.mean(accs)), min(accs), max(accs)))
+    for g, mirror in [(g, m) for g in groups for m in mirrors] + [(None, None)]:
+        accs = []
+        for seed in seeds:
+            run_cfg = TrainConfig(**{**asdict(cfg), "seed": seed})
+            spec = SynthTask(**{**asdict(task_spec), "seed": seed})
+            # build_net ignores the tin arguments on the floor's "none" arm
+            rec = run_experiment(spec, "none" if g is None else "tin", run_cfg, hidden=hidden,
+                                 learned_groups=g, mirror=mirror, shift_fraction=shift_fraction)
+            accs.append(rec.final_val_acc)
+        rows.append(AblationRow(g, mirror, accs, float(np.mean(accs)), min(accs), max(accs)))
     return rows
 
 

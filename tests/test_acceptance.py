@@ -195,10 +195,10 @@ def test_trajectory_logging(tin_direction2):
     ok = True
     details = []
     for rec in tin_direction2:
-        first_off = np.asarray(rec.offset_traj[0][0])
-        first_wgt = np.asarray(rec.weight_traj[0][0])
+        first_off = np.asarray(rec.offset_trajectory[0][0])
+        first_wgt = np.asarray(rec.weight_trajectory[0][0])
         ok &= bool(np.all(first_off == 0.0) and np.all(first_wgt == 1.0))
-        trained = np.abs(np.asarray(rec.offset_traj[-1][0]))
+        trained = np.abs(np.asarray(rec.offset_trajectory[-1][0]))
         ok &= bool(trained.max() > 0.1)
         details.append(f"max|O| {trained.max():.2f}")
         ok &= np.isfinite(rec.boundary_weight_mean) and np.isfinite(rec.center_weight_mean)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tin import bench, gradcheck, nets, tcn
-from tin.blocks import cross_entropy, make_toy_net
+from tin.blocks import OffsetNet, WeightNet, cross_entropy, make_toy_net
 from tin.errors import ConfigError, NonFiniteError, ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
 from tin.synth import SynthTask
@@ -94,6 +94,10 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
     (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), -2, True), ShapeError),
     (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, False), ShapeError),
     (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, True), ShapeError),
+    (lambda: OffsetNet(8, 16, 4, Rng(0)).forward(np.zeros((2, 16, 6))), ShapeError),
+    (lambda: WeightNet(8, 16, 4, Rng(0)).forward(np.zeros((2, 16, 6))), ShapeError),
+    (lambda: WeightNet(8, 16, 4, Rng(0), "channel_mean").forward(np.zeros((2, 15, 8))),
+     ShapeError),
 ], ids=["equiv-zero-trials", "equiv-negative-trials", "gradcheck-zero-coords",
         "gradcheck-negative-coords", "synth-zero-train-clips", "synth-zero-val-clips",
         "train-zero-epochs", "train-negative-epochs", "tin-arm-zero-groups",
@@ -112,7 +116,8 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
         "cross-entropy-inf-logit", "cross-entropy-minus-inf-logit",
         "cross-entropy-logits-overflow-apart", "rescale-zero-frames",
         "rescale-negative-frames-mirror", "rescale-vjp-zero-frames",
-        "rescale-vjp-zero-frames-mirror"])
+        "rescale-vjp-zero-frames-mirror", "offsetnet-wrong-frames", "weightnet-wrong-frames",
+        "weightnet-channel-mean-wrong-channels"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_raises_the_documented_error(call, error):
     with pytest.raises(error):

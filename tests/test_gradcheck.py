@@ -51,6 +51,28 @@ def test_kink_coordinates_are_skipped_and_reported():
     assert rep.params[0].n_checked == 2
 
 
+def test_worst_index_is_the_last_largest_error_as_a_multi_index():
+    def f(p):
+        return 2.0 * p["x"]
+
+    def vjp(p, cot, planted=None):
+        g = 2.0 * cot
+        if planted is not None:
+            g[planted] *= 1.5
+        return {"x": g}
+
+    point = {"x": np.arange(1.0, 7.0).reshape(2, 3)}
+    rep = check(f, lambda p, cot: vjp(p, cot, (1, 0)), point)
+    assert rep.params[0].worst_index == (1, 0)
+    # every error exactly 0, a tie: the last checked coordinate is reported, as Python ints
+    rep = check(lambda p: 0.0 * p["x"], lambda p, cot: {"x": np.zeros((2, 3))}, point)
+    assert rep.params[0].max_rel_err == 0.0 and rep.params[0].worst_index == (1, 2)
+    assert all(type(i) is int for i in rep.params[0].worst_index)
+    # every coordinate skipped at a kink: no index
+    rep = check(f, vjp, point, kink_dist=lambda name, p: np.zeros((2, 3)))
+    assert rep.params[0].worst_index == () and rep.params[0].n_checked == 0
+
+
 def test_offset_kink_distance():
     d = offset_kink_distance(np.array([0.0, 1.3, -0.5, 2.00001]))
     assert np.allclose(d, [0.0, 0.3, 0.5, 0.00001], atol=1e-9)

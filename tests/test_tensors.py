@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tin.errors import NonFiniteError, ShapeError
-from tin.tensors import (Rng, assert_finite, load_tensor, multi_index, rand_uniform,
-                         save_tensor)
+from tin.tensors import Rng, assert_finite, load_tensor, rand_uniform, save_tensor
 
 
 def test_rand_uniform_deterministic():
@@ -43,15 +42,6 @@ def test_rand_uniform_rejects_negative_and_overflow():
     with pytest.raises(ShapeError):
         rand_uniform([2**32, 2**32], Rng(0))
     assert rand_uniform([0], Rng(0)).shape == (0,)
-
-
-def test_multi_index_matches_numpy_unravel_index():
-    shapes = [(2,), (2, 3), (2, 1, 3), (2, 2, 2, 2), (1, 2, 3, 1, 2)]
-    for shape in shapes:
-        for flat in range(int(np.prod(shape))):
-            assert multi_index(shape, flat) == tuple(int(i) for i in np.unravel_index(flat, shape))
-        with pytest.raises(ShapeError):
-            multi_index(shape, int(np.prod(shape)))
 
 
 def test_assert_finite_raises():

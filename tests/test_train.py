@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ def test_epoch_zero_trajectories_are_neutral():
     spec = small_spec()
     cfg = TrainConfig(lr=0.05, epochs=1, seed=1, batch_size=32)
     rec = run_experiment(spec, "tin", cfg)
-    assert np.all(np.asarray(rec.offset_traj[0][0]) == 0.0)
-    assert np.all(np.asarray(rec.weight_traj[0][0]) == 1.0)
+    assert np.all(np.asarray(rec.offset_trajectory[0][0]) == 0.0)
+    assert np.all(np.asarray(rec.weight_trajectory[0][0]) == 1.0)
 
 
 def test_weight_means_average_every_tin_layer():
@@ -114,7 +115,7 @@ def test_weight_means_average_every_tin_layer():
     net.layers[i].wnet.bias[:] = 1.0           # weights 2 * sigmoid(1) ~ 1.46
     second.wnet.bias[:] = -2.0                 # weights 2 * sigmoid(-2) ~ 0.24
     rec = train(net, tr, va, TrainConfig(lr=0.0, epochs=1, seed=0, batch_size=32))
-    layers = np.asarray(rec.weight_traj[-1])
+    layers = np.asarray(rec.weight_trajectory[-1])
     assert layers.shape == (2, 8) and layers[0, 0] > 1.4 and layers[1, 0] < 0.3
     assert rec.boundary_weight_mean == pytest.approx((layers[:, 0] + layers[:, -1]).mean() / 2)
     assert rec.center_weight_mean == pytest.approx(layers[:, 1:-1].mean())
@@ -148,8 +149,9 @@ def test_early_stop_cuts_training_short():
 
 
 def test_run_ablation_structure():
-    spec = SynthTask(task="direction2", seed=0, train_clips=60, val_clips=30)
-    cfg = TrainConfig(lr=0.05, epochs=1, batch_size=32)
+    # big enough that the arms differ (at seed 2): in smaller runs every row reads 0.5
+    spec = SynthTask(task="direction2", seed=0, train_clips=96, val_clips=30)
+    cfg = TrainConfig(lr=0.05, epochs=2, batch_size=32)
     rows = run_ablation(spec, cfg, groups=(1, 2), mirrors=(True, False),
                         seeds=(0, 1, 2), hidden=16)
     assert len(rows) == 5  # 2 x 2 grid plus the disabled floor
@@ -157,6 +159,14 @@ def test_run_ablation_structure():
     for r in rows:
         assert len(r.accs) == 3
         assert r.min_acc <= r.mean_acc <= r.max_acc
+    # each row trains its own arm: the floor the blind net, a cell the tin net
+    assert [(r.groups, r.mirror) for r in rows[:-1]] == [(1, True), (1, False), (2, True), (2, False)]
+    for row, temporal, kwargs in ((rows[-1], "none", {}),
+                                  (rows[2], "tin", dict(learned_groups=2, mirror=True))):
+        direct = [run_experiment(SynthTask(**{**asdict(spec), "seed": s}), temporal,
+                                 TrainConfig(**{**asdict(cfg), "seed": s}), hidden=16,
+                                 **kwargs).final_val_acc for s in (0, 1, 2)]
+        assert row.accs == direct
     with pytest.raises(ConfigError):
         run_ablation(spec, cfg, seeds=(0, 1), hidden=16)
 
