@@ -20,6 +20,19 @@ Every layer follows the same protocol: forward(x) -> (y, tape),
 backward(grad_y, tape) -> (grad_x, param_grad_dict), named_params().
 One Chain runs forward, backward and named_params for the toy nets and
 for both generator nets.
+
+Ownership. A tape is read by one backward call, so in Chain.backward,
+once a layer's backward runs, its tape and those of the layers after it
+are spent. A buffer may take a gradient only when no earlier layer's tape
+still holds it, and when it is none of the caller's arrays: the chain's
+input and the gradient handed to Chain.backward. Chain.backward alone
+applies the rule: a layer with takes_out (conv2 and the TinBlock) gets
+as out its own input if the rule allows, or else the gradient it is
+handed. So on the tin and tcn arms conv2 writes its gradient into the
+temporal layer's output, and the TinBlock then writes into that; on the
+blind arm conv2's input is conv1's output, which conv1's tape keeps for
+the ReLU's mask, so conv2 makes a fresh one. A layer's backward called
+without out writes only into arrays it makes.
 """
 
 from __future__ import annotations
@@ -39,8 +52,15 @@ def _uniform(rng: Rng, shape, fan_in: int, scale: float | None) -> np.ndarray:
 
 
 class Layer:
-    """By default a layer's parameters are its attributes w and b, where it has them."""
+    """By default a layer's parameters are its attributes w and b, where it has them.
+
+    A layer with takes_out set has backward(grad_y, tape, out=None): out, when
+    given, is a writeable C-ordered float64 array of the input's shape that
+    takes the input gradient, and the layer reads what it needs of grad_y
+    and its tape before it writes there.
+    """
     name = "layer"
+    takes_out = False
 
     def named_params(self) -> dict:
         return {k: getattr(self, k) for k in ("w", "b") if getattr(self, k, None) is not None}
@@ -138,8 +158,10 @@ class PointwiseConv2dMaxPool(PointwiseConv2d):
     batch is never built. The tape is (x, idx), with idx [N, T, C] the
     first pixel of each maximum, as np.argmax picks it: the pooled
     gradient reaches those pixels only, so the backward reads x there and
-    nowhere else.
+    nowhere else, then zeroes out (x itself, when a Chain finds x spent)
+    and writes the input gradient at those pixels.
     """
+    takes_out = True
 
     def forward(self, x):
         x4 = self._pixels(x)
@@ -152,7 +174,7 @@ class PointwiseConv2dMaxPool(PointwiseConv2d):
             y[i] = np.take_along_axis(z, idx[i][..., None], axis=2)[..., 0]
         return y, (x, idx)
 
-    def backward(self, grad_y, tape):
+    def backward(self, grad_y, tape, out=None):
         x, idx = tape
         n, t, cin, h, w = x.shape
         x3 = self._pixels(x).reshape(n * t, cin, h * w)
@@ -165,9 +187,15 @@ class PointwiseConv2dMaxPool(PointwiseConv2d):
         # matmul sums it; every other pixel gets no gradient
         cols = np.where(at[:, :, None] == at[:, None, :], g[:, :, None], 0.0)  # [NT, C, C]
         rows = np.arange(n * t * cin).reshape(n * t, cin, 1) * (h * w)
-        grad_x = np.zeros(x.size)
-        grad_x[(rows + at[:, None, :]).reshape(-1)] = np.matmul(self.w.T, cols).reshape(-1)
-        return grad_x.reshape(x.shape), {"w": grad_w, "b": g.sum(axis=0)}
+        if out is None:
+            grad_x = np.zeros(x.shape)
+        elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ShapeError(f"out must be a C-ordered float64 array shaped {x.shape}")
+        else:
+            grad_x = out
+            grad_x.fill(0.0)
+        grad_x.reshape(-1)[(rows + at[:, None, :]).reshape(-1)] = np.matmul(self.w.T, cols).reshape(-1)
+        return grad_x, {"w": grad_w, "b": g.sum(axis=0)}
 
 
 class ReLU(Layer):
@@ -327,6 +355,43 @@ class Squeeze(Layer):
 # ---------------------------------------------------------------------------
 # layer chains: the toy nets and the generator nets
 
+def _held(obj) -> list:
+    """Every array a tape holds, through dicts, lists, tuples and object attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    items = list(obj.values()) if isinstance(obj, dict) else \
+        list(obj) if isinstance(obj, (list, tuple)) else []
+    return [a for o in items + list(getattr(obj, "__dict__", {}).values()) for a in _held(o)]
+
+
+def _spare(x, candidates, held):
+    """The first candidate that can take the input gradient of x, or None.
+
+    That is a writeable C-ordered float64 array of x's shape that shares
+    memory with no held array.
+    """
+    for buf in candidates:
+        if (isinstance(buf, np.ndarray) and buf.shape == x.shape and buf.dtype == np.float64
+                and buf.flags.c_contiguous and buf.flags.writeable
+                and not any(np.may_share_memory(buf, a) for a in held)):
+            return buf
+    return None
+
+
+class Tapes(list):
+    """The tapes of one Chain.forward, one per layer, in layer order.
+
+    source is the chain's input, and inputs[i] the input of layer i where
+    it takes out (None elsewhere): what Chain.backward needs to place the
+    gradients.
+    """
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+        self.inputs = []
+
+
 class Chain:
     """A plain layer chain with named parameters and explicit backward."""
 
@@ -340,16 +405,28 @@ class Chain:
         return {f"{l.name}.{k}": v for l in self.layers for k, v in l.named_params().items()}
 
     def forward(self, x):
-        tapes = []
+        tapes = Tapes(x)
         for layer in self.layers:
+            tapes.inputs.append(x if layer.takes_out else None)
             x, tape = layer.forward(x)
             tapes.append(tape)
         return x, tapes
 
     def backward(self, grad_out, tapes):
+        """(gradient w.r.t. the chain's input, parameter gradients by name).
+
+        Each layer that takes out is handed a buffer by the ownership rule
+        of the module docstring. Only Tapes from this chain's forward say
+        where the inputs are; other tapes get fresh gradients throughout.
+        """
         grads = {}
-        for layer, tape in zip(reversed(self.layers), reversed(tapes)):
-            grad_out, layer_grads = layer.backward(grad_out, tape)
+        inputs = getattr(tapes, "inputs", None)
+        caller = [grad_out, getattr(tapes, "source", None)]
+        for i in reversed(range(len(self.layers))):
+            layer, kwargs = self.layers[i], {}
+            if inputs is not None and inputs[i] is not None:
+                kwargs["out"] = _spare(inputs[i], (inputs[i], grad_out), caller + _held(tapes[:i]))
+            grad_out, layer_grads = layer.backward(grad_out, tapes[i], **kwargs)
             grads.update({f"{layer.name}.{k}": v for k, v in layer_grads.items()})
         return grad_out, grads
 
@@ -410,8 +487,10 @@ class TinBlock(Layer):
     """Pool -> offset net -> rescale, pool -> weight net, then interlace.
 
     A single clip [T, C, H, W] runs as a batch of one; its tape holds the
-    offsets [1, G] and weights [1, G, T].
+    offsets [1, G] and weights [1, G, T]. out, when given, goes to
+    interlace_backward, so out=grad_v writes only the shifted channels.
     """
+    takes_out = True
 
     def __init__(self, cfg: InterlaceConfig, rng: Rng, name: str = "tin",
                  weightnet_input: str = "descriptor"):
@@ -437,10 +516,12 @@ class TinBlock(Layer):
                 "weights": weights, "hw": u.shape[-2:], "batched": batched}
         return (v if batched else v[0]), tape
 
-    def backward(self, grad_v, tape):
+    def backward(self, grad_v, tape, out=None):
         batched = tape["batched"]
-        grad_u, grad_off, grad_w = interlace_backward(grad_v if batched else grad_v[None],
-                                                      tape["itape"])
+        gb = grad_v if batched else grad_v[None]
+        if not (batched or out is None):
+            out = gb if out is grad_v else out[None]
+        grad_u, grad_off, grad_w = interlace_backward(gb, tape["itape"], out=out)
         ograds, wgrads, grad_z = nets.nets_backward(
             grad_off, grad_w, tape["otape"], tape["wtape"], self.onet, self.wnet, self.cfg.mirror)
         h, w = tape["hw"]

@@ -31,7 +31,11 @@ since sum over p of g[r, p] (B @ x)[r, p] = sum over s of B[r, s] M[s, r].
 The code folds the weights into the band, diag(w) @ B, so the forward and
 the input gradient are one matmul each, written straight into the result;
 the backward reads x and g once more for M and reduces it through both
-bands at T x T cost. Every resampling here, temporal_sample and its VJP
+bands at T x T cost. The backward can write its input gradient into an
+array the caller hands it as out, grad_v itself included: the un-shifted
+channels of grad_v are then already in place, and only the shifted
+quarter is written (the rest is scaled in place when weight_all_channels
+is on), after M and the dots of the scaled channels have read g. Every resampling here, temporal_sample and its VJP
 included, goes through that one form.
 Integer offsets make B a plain shift matrix (the temporal shift module's
 case), and offset 0 makes it the identity.
@@ -40,7 +44,7 @@ Feature maps are [T, C, H, W] or [N, T, C, H, W]; offsets are [G] or
 [N, G]; weights are [G, T] or [N, G, T]. An unbatched call is the N = 1
 case of the batched one. Forward returns a tape holding only the input,
 the offsets and the weights, which is consumed by exactly one backward
-call.
+call. Without out, neither pass writes into an array of the caller's.
 """
 
 from __future__ import annotations
@@ -252,11 +256,14 @@ def _batchify(u, offsets, weights, cfg: InterlaceConfig):
 
 
 def _pass_through(out: np.ndarray, x: np.ndarray, weights: np.ndarray, cfg: InterlaceConfig):
-    """Write the un-shifted channels of x into out, scaled when weight_all_channels."""
+    """Write the un-shifted channels of x into out, scaled when weight_all_channels.
+
+    When out is x and nothing is scaled, the channels are already in place.
+    """
     cs = cfg.c_shift
     if cfg.g and cfg.weight_all_channels:
         np.multiply(x[:, :, cs:], weights.mean(axis=1)[:, :, None, None, None], out=out[:, :, cs:])
-    else:
+    elif out is not x:
         out[:, :, cs:] = x[:, :, cs:]
 
 
@@ -275,11 +282,16 @@ def interlace_forward(u, offsets, weights, cfg: InterlaceConfig):
     return (v if batched else v[0]), tape
 
 
-def interlace_backward(grad_v, tape: InterlaceTape):
+def interlace_backward(grad_v, tape: InterlaceTape, out=None):
     """Exact VJPs w.r.t. the input, the offsets and the attention weights.
 
     The tape is single-use; a second call on the same tape is an error.
     A gradient of the wrong shape is rejected without using the tape up.
+    The input gradient goes into a fresh array, or into out when given: a
+    C-ordered array of grad_v's shape and the input's dtype, which may be
+    grad_v itself. Then only the shifted channels are written, and the
+    un-shifted ones too if weight_all_channels scales them. grad_v is read
+    in full before any write, so the result is the same bits either way.
     """
     if tape.consumed:
         raise ShapeError("interlace tape already consumed by a backward call")
@@ -288,25 +300,37 @@ def interlace_backward(grad_v, tape: InterlaceTape):
     gb = grad_v[None] if not tape.batched else grad_v
     if gb.shape != tape.u.shape:
         raise ShapeError(f"grad shape {grad_v.shape} does not match forward input")
+    if out is not None and (out.shape != grad_v.shape or out.dtype != gb.dtype
+                            or not out.flags.c_contiguous or not out.flags.writeable
+                            or (out is not grad_v and np.may_share_memory(out, grad_v))):
+        raise ShapeError(f"out must be grad_v or a separate writeable C-ordered {gb.dtype} "
+                         f"array shaped {grad_v.shape}")
     tape.consumed = True
+    if out is None:
+        grad_u = np.empty(gb.shape, dtype=gb.dtype)
+    else:
+        grad_u = gb if out is grad_v else out if tape.batched else out[None]
 
-    grad_u = np.empty(gb.shape, dtype=gb.dtype)
-    _pass_through(grad_u, gb, tape.weights, cfg)
     grad_off = np.zeros_like(tape.offsets)
     grad_w = np.zeros_like(tape.weights)
     if cfg.g:
+        g = _grouped(gb, cfg)
         if cfg.weight_all_channels:
             cs = cfg.c_shift
             dots = np.einsum("ntchw,ntchw->nt", gb[:, :, cs:], tape.u[:, :, cs:])
             grad_w += dots[:, None, :] / cfg.g
         bd = _band(tape.offsets, cfg.t)
-        g = _grouped(gb, cfg)
-        wband = tape.weights[..., None] * bd[:, :, 0]            # diag(w) @ B
-        np.matmul(wband.swapaxes(-1, -2), g, out=_grouped(grad_u, cfg))
         rows = _band_rows(bd, _grouped(tape.u, cfg), g)          # [N, G, 2, T]
         grad_w += rows[:, :, 0]
         grad_off += np.sum(tape.weights * rows[:, :, 1], axis=-1)
+        wband = tape.weights[..., None] * bd[:, :, 0]            # diag(w) @ B
+        # when grad_u is gb the product overlaps its input; numpy then
+        # reads g whole before it writes
+        np.matmul(wband.swapaxes(-1, -2), g, out=_grouped(grad_u, cfg))
+    _pass_through(grad_u, gb, tape.weights, cfg)
 
+    if out is None:
+        out = grad_u if tape.batched else grad_u[0]
     if not tape.batched:
-        return grad_u[0], grad_off[0], grad_w[0]
-    return grad_u, grad_off, grad_w
+        return out, grad_off[0], grad_w[0]
+    return out, grad_off, grad_w

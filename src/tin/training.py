@@ -108,7 +108,7 @@ def evaluate(net: blocks.Chain, clips: np.ndarray, labels: np.ndarray,
     n = clips.shape[0]
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        logits, _ = net.forward(clips[lo:hi])
+        logits = net.forward(clips[lo:hi])[0]
         loss, _, ok = blocks.cross_entropy(logits, labels[lo:hi])
         total_loss += loss * (hi - lo)
         correct += ok
@@ -117,7 +117,11 @@ def evaluate(net: blocks.Chain, clips: np.ndarray, labels: np.ndarray,
 
 def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig) -> RunRecord:
-    """Full training loop; raises NonFiniteError if the loss diverges."""
+    """Full training loop; raises NonFiniteError if the loss diverges.
+
+    Each step's tapes are released once its statistics are read, before
+    the next forward runs.
+    """
     params = net.named_params()
     velocity: dict = {}
     rng = Rng(cfg.seed).child("batches")
@@ -125,8 +129,7 @@ def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
 
     # epoch-0 probe: what the untouched net emits
     probe = train_data.clips[: min(64, len(train_data.clips))]
-    _, tapes = net.forward(probe)
-    o0, w0 = _tin_stats(net, tapes)
+    o0, w0 = _tin_stats(net, net.forward(probe)[1])
     record.offset_trajectory.append(o0)
     record.weight_trajectory.append(w0)
 
@@ -148,6 +151,7 @@ def train(net: blocks.Chain, train_data: Dataset, val_data: Dataset,
             ep_loss += loss * len(idx)
             ep_correct += ok
             offs, wgts = _tin_stats(net, tapes)
+            del tapes
             if offs:
                 oa = np.asarray(offs)
                 wa = np.asarray(wgts)

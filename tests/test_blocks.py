@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,111 @@ def test_no_layer_writes_into_its_input_gradient_or_tape(temporal):
         assert g.tobytes() == before.tobytes(), f"{layer.name}.backward wrote into its gradient"
         assert tapes_intact(), f"{layer.name}.backward wrote into a tape"
         g = grad_x
+
+
+def _step_grads(grad, tapes, backward):
+    """backward's input gradient and parameter gradients, as one dict of bytes."""
+    grad_x, grads = backward(grad, tapes)
+    return {"x": grad_x.tobytes(), **{k: v.tobytes() for k, v in grads.items()}}
+
+
+def _layer_by_layer(grad, tapes, net):
+    # each layer's own backward, which writes into fresh arrays only
+    grads = {}
+    for layer, tape in zip(reversed(net.layers), reversed(tapes)):
+        grad, layer_grads = layer.backward(grad, tape)
+        grads.update({f"{layer.name}.{k}": v for k, v in layer_grads.items()})
+    return grad, grads
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_chain_backward_matches_the_layers_run_one_by_one(temporal):
+    # Chain.backward hands conv2 and the block spent buffers: the bits must
+    # be those of the layers' own backward into fresh arrays, and the
+    # caller's input, cotangent and logits, and the block's offsets and
+    # weights, which the training loop reads after the step, stay unchanged
+    rng = Rng(53)
+    net = _nudged_toy_net(rng, temporal)
+    x = rng.child("x").uniform([4, 8, 1, 6, 6], -1.0, 1.0)
+    logits, tapes = net.forward(x)
+    g = rng.child("g").uniform(list(logits.shape), -1.0, 1.0)
+    kept = [x, g, logits] + [t[k] for t in tapes if isinstance(t, dict) for k in ("offsets", "weights")]
+    kept = [(a, a.tobytes()) for a in kept]
+    got = _step_grads(g, tapes, net.backward)
+    want = _step_grads(g, net.forward(x)[1], lambda g, t: _layer_by_layer(g, t, net))
+    assert got == want
+    assert all(a.tobytes() == b for a, b in kept)
+    # a plain list of tapes does not say where the inputs are: all fresh
+    assert _step_grads(g, list(net.forward(x)[1]), net.backward) == want
+
+
+@pytest.mark.parametrize("temporal", ["tin", "tcn", "none"])
+def test_conv2_takes_its_gradient_into_its_input_only_where_no_earlier_tape_holds_it(temporal):
+    # on the tin and tcn arms conv2's input is the temporal layer's output,
+    # and the block then writes into that gradient; on the blind arm it is
+    # conv1's output, which conv1's tape keeps for the ReLU's mask
+    net = make_toy_net(8, 1, 3, Rng(55), temporal=temporal)
+    seen = {}
+    for layer in net.layers:
+        if layer.takes_out:
+            def spy(grad_y, tape, out=None, inner=layer.backward, name=layer.name):
+                seen[name] = out
+                return inner(grad_y, tape, out=out)
+            layer.backward = spy
+    x = Rng(56).uniform([2, 8, 1, 6, 6], -1.0, 1.0)
+    logits, tapes = net.forward(x)
+    names = [layer.name for layer in net.layers]
+    conv2_input = tapes[names.index("conv2")][0]
+    net.backward(np.ones_like(logits), tapes)
+    assert seen["conv2"] is (None if temporal == "none" else conv2_input)
+    if temporal == "tin":
+        assert seen["tin"] is conv2_input
+
+
+MAP_BYTES = 64 * 8 * 16 * 16 * 16 * 8     # one float64 [64, 8, 16, 16, 16] feature map
+
+
+@pytest.mark.parametrize("temporal, maps", [("tin", 1), ("tcn", 2), ("none", 2)])
+def test_backward_allocates_less_than_a_map_per_layer_that_must_make_one(temporal, maps):
+    # one 64-clip step at the benchmark's shapes. On the tin arm conv2's
+    # gradient goes into its input and the block's into that, so the
+    # backward makes no map; tconv makes its own input gradient; on the
+    # blind arm conv2 makes one, since its input is conv1's tape
+    net = make_toy_net(8, 1, 2, Rng(51), temporal=temporal)
+    x = Rng(52).uniform([64, 8, 1, 16, 16], -1.0, 1.0)
+    logits, tapes = net.forward(x)
+    _, grad, _ = cross_entropy(logits, np.arange(64) % 2)
+    tracemalloc.start()
+    try:
+        net.backward(grad, tapes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < maps * MAP_BYTES, f"{peak / MAP_BYTES:.2f} maps"
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_block_and_max_pool_backward_into_out_match_the_fresh_path(batched):
+    rng = Rng(57)
+    block = fresh_block(rng_seed=58)
+    block.onet.fc2_b[:] = rng.child("o").uniform([4], -1.0, 1.0)
+    u = rng.child("u").uniform([3, 8, 16, 4, 4] if batched else [8, 16, 4, 4], -1.0, 1.0)
+    g = rng.child("g").uniform(list(u.shape), -1.0, 1.0)
+    want_u, want = block.backward(g, block.forward(u)[1])
+    got_u, got = block.backward(g.copy(), block.forward(u)[1], out=g)
+    assert got_u.tobytes() == want_u.tobytes() and np.shares_memory(got_u, g)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    pool = PointwiseConv2dMaxPool(16, 5, rng.child("w"), "conv2")
+    x = rng.child("x").uniform([3, 8, 16, 4, 4], -1.0, 1.0)
+    gy = rng.child("gy").uniform([3, 8, 5], -1.0, 1.0)
+    want_x, want = pool.backward(gy, pool.forward(x)[1])
+    x_tape = pool.forward(x.copy())[1]
+    got_x, got = pool.backward(gy, x_tape, out=x_tape[0])
+    assert got_x is x_tape[0] and got_x.tobytes() == want_x.tobytes()
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    with pytest.raises(ShapeError):
+        pool.backward(gy, pool.forward(x)[1], out=np.empty(x.shape, np.float32))
 
 
 class _Conv(Layer):

@@ -501,3 +501,41 @@ def test_forward_and_backward_allocate_little_beyond_their_result(weight_all_cha
         tracemalloc.stop()
     assert forward_peak <= v.nbytes + 2**20
     assert backward_peak <= grad_u.nbytes + 2**20
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("mirror", [True, False])
+@pytest.mark.parametrize("weight_all_channels", [False, True])
+@pytest.mark.parametrize("zero_grad", [False, True])
+def test_backward_into_grad_v_is_bit_equal_to_the_fresh_path(batch, mirror, weight_all_channels,
+                                                            zero_grad):
+    cfg = InterlaceConfig(t=8, c=16, g=4, mirror=mirror, weight_all_channels=weight_all_channels)
+    rng = Rng(49)
+    u, offsets, weights = _random_inputs(rng, cfg, batch)
+    grad_v = np.zeros_like(u) if zero_grad else rng.child("g").uniform(list(u.shape), -1.0, 1.0)
+    before = grad_v.copy()
+    _, tape = interlace_forward(u, offsets, weights, cfg)
+    want = interlace_backward(grad_v, tape)
+    assert grad_v.tobytes() == before.tobytes(), "the fresh path wrote into grad_v"
+    for out in (grad_v, np.full_like(u, np.nan)):
+        _, tape = interlace_forward(u, offsets, weights, cfg)
+        got = interlace_backward(grad_v, tape, out=out)
+        assert got[0] is out
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        grad_v = before.copy()
+
+
+def test_backward_rejects_an_out_it_cannot_write_whole():
+    # wrong shape or dtype, not C-ordered, read-only, or a part of grad_v
+    cfg = InterlaceConfig(t=8, c=16)
+    u, offsets, weights = _random_inputs(Rng(50), cfg, 2)
+    both = np.ones((3,) + u.shape[1:])
+    grad_v = both[:2]
+    read_only = np.empty_like(u)
+    read_only.flags.writeable = False
+    for out in (np.empty(u.shape[1:]), np.empty(u.shape, np.float32), np.empty(u.shape[::-1]).T,
+                read_only, both[1:], grad_v[::-1]):
+        _, tape = interlace_forward(u, offsets, weights, cfg)
+        with pytest.raises(ShapeError):
+            interlace_backward(grad_v, tape, out=out)
+        assert not tape.consumed

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -36,6 +37,7 @@ def test_lr_zero_leaves_parameters_and_accuracy_unchanged():
 
 _TRAIN_AND_DUMP = """
 import sys
+import weakref
 from tin.synth import SynthTask
 from tin.training import TrainConfig, build_net, task_data, train
 spec = SynthTask(train_clips=96, val_clips=48)
@@ -203,3 +205,23 @@ def test_weight_decay_excludes_biases():
     _sgd_step(p2, {k: np.zeros_like(v) for k, v in p2.items()}, {}, 0.1, 0.0, 0.1)
     assert np.all(np.abs(p2["head.w"]) < np.abs(w_before) + 1e-15)
     assert not np.array_equal(p2["head.w"], w_before)
+
+
+def test_train_releases_each_steps_tapes_before_the_next_forward():
+    # a step's tapes hold its feature maps; kept alive into the next
+    # forward, they make it take fresh memory where the spent maps could
+    # have been reused
+    spec = SynthTask(task="direction2", t=4, h=8, w=8, train_clips=16, val_clips=72)
+    tr, va = standardize(generate_task(spec, "train"), generate_task(spec, "val"))
+    net = build_net(spec, "tin", seed=0)
+    inner, held, calls = net.forward, [], []
+
+    def forward(x):
+        calls.append(sum(ref() is not None for ref in held))
+        y, tapes = inner(x)
+        held.append(weakref.ref(tapes[0][1]))     # conv1's output, held by the tapes only
+        return y, tapes
+
+    net.forward = forward
+    train(net, tr, va, TrainConfig(lr=0.05, epochs=2, seed=0, batch_size=4))
+    assert len(calls) == 1 + 2 * (4 + 2) and not any(calls)     # probe, then steps and val
