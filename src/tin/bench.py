@@ -41,7 +41,8 @@ def count_flops(op: str, **shape) -> FlopsReport:
     """Analytic multiply-add / FLOP / parameter counts for one operator.
 
     Supported ops: interlace, tin_module, dense_tconv. Shapes use t, c, h, w
-    plus op-specific keys (shift_fraction, g, k).
+    plus op-specific keys (shift_fraction, g, k). tin_module counts a
+    TinBlock without mirroring, whose offset net learns all g groups.
     """
     if op not in ("interlace", "tin_module", "dense_tconv"):
         raise ConfigError(f"unsupported op {op!r} for flops counting")

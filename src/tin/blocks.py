@@ -13,7 +13,7 @@ follows the pool as max(relu(z)) = relu(max(z)). Batches are [N, T, C, H, W].
 
 The generator nets are chains of small layers over descriptors [N, C, T]:
 OffsetNet = Conv1d -> Squeeze -> Linear -> ReLU -> Linear -> Sigmoid and
-WeightNet = [ChannelMean] -> Conv1d -> Sigmoid x2. Both are DescriptorNets,
+WeightNet = [channel mean] -> Conv1d -> Sigmoid x2. Both are DescriptorNets,
 which reject a descriptor of any other C or T with ShapeError.
 
 Every layer follows the same protocol: forward(x) -> (y, tape),
@@ -261,18 +261,20 @@ def _frames(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:3] + (-1,)).swapaxes(1, 2)
 
 
-class TemporalMean(Layer):
-    """[N, T, C] -> [N, C]; the temporally blind fusion head."""
+class Mean(Layer):
+    """Mean over axis 1: tmean [N, T, C] -> [N, C], the temporally blind
+    fusion head, or channel_mean [N, C, T] -> [N, 1, T] with keepdims."""
 
-    def __init__(self, name: str = "tmean"):
+    def __init__(self, name: str, keepdims: bool = False):
         self.name = name
+        self.keepdims = keepdims
 
     def forward(self, x):
-        return x.mean(axis=1), x.shape
+        return x.mean(axis=1, keepdims=self.keepdims), x.shape
 
     def backward(self, grad_y, shape):
-        n, t, c = shape
-        return np.broadcast_to(grad_y[:, None, :] / t, shape).copy(), {}
+        g = grad_y / shape[1]
+        return np.broadcast_to(g if self.keepdims else g[:, None], shape).copy(), {}
 
 
 class Conv1d(Layer):
@@ -328,17 +330,6 @@ class Sigmoid(Layer):
 
     def backward(self, grad_y, s):
         return (self.scale * grad_y) * s * (1.0 - s), {}
-
-
-class ChannelMean(Layer):
-    """[N, C, T] -> [N, 1, T]."""
-    name = "channel_mean"
-
-    def forward(self, x):
-        return x.mean(axis=1, keepdims=True), x.shape
-
-    def backward(self, grad_y, shape):
-        return np.broadcast_to(grad_y / shape[1], shape).copy(), {}
 
 
 class Squeeze(Layer):
@@ -449,9 +440,10 @@ class OffsetNet(DescriptorNet):
     """Descriptor [N, C, T] -> raw per-group offsets in (0, 1), [N, G].
 
     A C -> 1 conv over time, then T -> T and T -> G fully connected
-    layers. The last layer starts at zero, so the raw output is exactly
-    sigmoid(0) = 0.5 per group, i.e. an offset of 0. The attributes conv,
-    fc1_w, fc1_b, fc2_w and fc2_b are the layers' live parameter arrays.
+    layers, G the learned groups (G/2 of a mirrored block's groups). The
+    last layer starts at zero, so the raw output is exactly sigmoid(0) =
+    0.5 per group, i.e. an offset of 0. The attributes conv, fc1_w, fc1_b,
+    fc2_w and fc2_b are the layers' live parameter arrays.
     """
 
     def __init__(self, t: int, c: int, g: int, rng: Rng):
@@ -479,16 +471,19 @@ class WeightNet(DescriptorNet):
         self.t, self.c = t, c
         mean = input_mode == "channel_mean"
         conv = Conv1d(1 if mean else c, g, rng.child("conv"), "conv", scale=0.0)
-        super().__init__(([ChannelMean()] if mean else []) + [conv, Sigmoid(2.0)])
+        head = [Mean("channel_mean", keepdims=True)] if mean else []
+        super().__init__(head + [conv, Sigmoid(2.0)])
         self.conv, self.bias = conv.w, conv.b
 
 
 class TinBlock(Layer):
     """Pool -> offset net -> rescale, pool -> weight net, then interlace.
 
-    A single clip [T, C, H, W] runs as a batch of one; its tape holds the
-    offsets [1, G] and weights [1, G, T]. out, when given, goes to
-    interlace_backward, so out=grad_v writes only the shifted channels.
+    The offset net has cfg.learned_groups outputs, G/2 with mirroring, and
+    rescale appends their negation. A single clip [T, C, H, W] runs as a
+    batch of one; its tape holds the offsets [1, G] and weights [1, G, T].
+    out, when given, goes to interlace_backward, so out=grad_v writes only
+    the shifted channels.
     """
     takes_out = True
 
@@ -496,7 +491,7 @@ class TinBlock(Layer):
                  weightnet_input: str = "descriptor"):
         self.name = name
         self.cfg = cfg
-        self.onet = OffsetNet(cfg.t, cfg.c, cfg.g, rng.child("offsetnet"))
+        self.onet = OffsetNet(cfg.t, cfg.c, cfg.learned_groups, rng.child("offsetnet"))
         self.wnet = WeightNet(cfg.t, cfg.c, cfg.g, rng.child("weightnet"), weightnet_input)
 
     def named_params(self):
@@ -560,7 +555,7 @@ def make_toy_net(t: int, cin: int, k_classes: int, rng: Rng, hidden: int = 16,
     layers += [
         PointwiseConv2dMaxPool(hidden, hidden, rng.child("conv2"), "conv2"),
         ReLU("relu2"),
-        TemporalMean(),
+        Mean("tmean"),
         Linear(hidden, k_classes, rng.child("head"), "head", scale=head_scale),
     ]
     return Chain(layers)

@@ -142,9 +142,8 @@ def offset_kink_distance(offsets: np.ndarray) -> np.ndarray:
 
 def _fractional_offsets(rng: Rng, cfg, margin: float = 0.1) -> np.ndarray:
     """Offsets with |O - round(O)| > margin, mirror-consistent."""
-    g_learned = cfg.g // 2 if cfg.mirror else cfg.g
-    vals = np.empty(g_learned)
-    for i in range(g_learned):
+    vals = np.empty(cfg.learned_groups)
+    for i in range(cfg.learned_groups):
         while True:
             o = float(rng.uniform([], -cfg.t / 2 + 0.05, cfg.t / 2 - 0.05)[()])
             if abs(o - round(o)) > margin:
@@ -301,14 +300,14 @@ def standard_checks(seed: int = 0) -> list:
             ("layer.temporal_conv", tconv, [2, 3, 4, 2, 2]),
             ("layer.conv_relu", fused["layer.conv_relu"], [2, 3, 3, 2, 2]),
             ("layer.conv_max_pool", fused["layer.conv_max_pool"], [2, 3, 3, 3, 3]),
-            ("layer.temporal_mean", blocks.TemporalMean(), [2, 3, 4]),
+            ("layer.temporal_mean", blocks.Mean("tmean"), [2, 3, 4]),
             ("layer.linear", blocks.Linear(4, 3, rng.child("linear"), "linear"), [2, 4])):
         checks.append(layer_check(name, layer, rng.child(name).uniform(shape, -1.0, 1.0)))
 
     # the full block: every parameter plus the input, via the block's own tape
     brng = rng.child("block")
     block = blocks.TinBlock(_BLOCK_CFG, brng.child("params"), "tin")
-    _nudge(block, brng, w2=0.4, b2=(0.35, -0.2), wk=0.3, wb=0.3)
+    _nudge(block, brng, w2=0.4, b2=(0.35,), wk=0.3, wb=0.3)
     checks.append(layer_check("tin_block", block,
                               brng.child("u").uniform([4, 8, 2, 2], -1.0, 1.0), key="u"))
     # toy net end to end: deepest composition, looser tolerance
@@ -331,7 +330,7 @@ def _scaled_toy_net(rng: Rng):
 
     Scales are pushed up so no weakly-connected coordinate has a gradient
     near the finite-difference noise floor; exact-zero coordinates (dead
-    ReLUs, mirrored raw offsets) difference to exactly zero and are fine.
+    ReLUs) difference to exactly zero and are fine.
     """
     from . import blocks
 
@@ -340,7 +339,7 @@ def _scaled_toy_net(rng: Rng):
     tin = net.tin_blocks()[0]
     tin.onet.conv *= 2.0
     tin.onet.fc1_w *= 1.5
-    _nudge(tin, rng, w2=0.5, b2=(0.5, -0.35), wk=0.15, wb=0.4)
+    _nudge(tin, rng, w2=0.5, b2=(0.5,), wk=0.15, wb=0.4)
     for layer in net.layers:
         if layer.name in ("conv1", "conv2"):
             layer.w *= 2.0

@@ -92,6 +92,11 @@ class InterlaceConfig:
             raise ShapeError(f"mirroring needs an even group count, got g={self.g}")
 
     @property
+    def learned_groups(self) -> int:
+        """Groups whose offsets are learned: g / 2 with mirroring, else g."""
+        return self.g // 2 if self.mirror else self.g
+
+    @property
     def c_shift(self) -> int:
         return 0 if self.g == 0 else round(self.c * self.shift_fraction)
 

@@ -2,8 +2,9 @@
 
 Global spatial pooling squeezes a feature map into a descriptor z, [C, T]
 or [N, C, T]. The offset net (blocks.OffsetNet) maps a batch of
-descriptors to raw per-group values in (0, 1), which rescale_offsets turns
-into fractional temporal offsets in (-T/2, T/2); the weight net
+descriptors to raw values in (0, 1), one per learned group (G/2 with
+mirroring), which rescale_offsets turns into all G fractional offsets in
+(-T/2, T/2), appending their negation with mirroring; the weight net
 (blocks.WeightNet) maps it to per-group per-frame weights in (0, 2). Both
 are layer chains whose last layer starts at zero, so a fresh block emits
 offsets of exactly 0 and weights of exactly 1: the identity. Each net
@@ -74,10 +75,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
-    """Map raw values in (0, 1) to offsets in (-T/2, T/2).
+    """Map raw values in (0, 1), one per learned group, to offsets in (-T/2, T/2).
 
-    offset = (raw - 0.5) * T. With mirroring only the first G/2 raw values
-    are consumed; the second half of the result is their exact negation.
+    offset = (raw - 0.5) * T. With mirroring raw holds G/2 values, and the
+    result appends their exact negation, G offsets in all.
     """
     if t < 1:
         raise ShapeError(f"need at least one frame, got t={t}")
@@ -85,25 +86,23 @@ def rescale_offsets(raw: np.ndarray, t: int, mirror: bool) -> np.ndarray:
     if not np.all((raw > 0.0) & (raw < 1.0)):       # False for NaN too
         assert_finite(raw, "raw offsets")
         raise ShapeError("raw offsets must lie strictly inside (0, 1)")
-    g = raw.shape[-1]
-    if mirror:
-        if g % 2 != 0:
-            raise ShapeError(f"mirroring needs an even group count, got {g}")
-        half = (raw[..., : g // 2] - 0.5) * t
-        return np.concatenate([half, -half], axis=-1)
-    return (raw - 0.5) * t
+    if mirror and raw.ndim == 0:
+        raise ShapeError("mirroring needs raw offsets with a group axis, got a scalar")
+    off = (raw - 0.5) * t
+    return np.concatenate([off, -off], axis=-1) if mirror else off
 
 
 def rescale_offsets_vjp(grad_off: np.ndarray, t: int, mirror: bool) -> np.ndarray:
+    """The gradient in the raw values, from the gradient in all G offsets."""
     if t < 1:
         raise ShapeError(f"need at least one frame, got t={t}")
     grad_off = np.asarray(grad_off)
     if not mirror:
         return grad_off * t
-    g = grad_off.shape[-1]
-    grad_raw = np.zeros_like(grad_off)
-    grad_raw[..., : g // 2] = (grad_off[..., : g // 2] - grad_off[..., g // 2:]) * t
-    return grad_raw
+    if grad_off.ndim == 0 or grad_off.shape[-1] % 2 != 0:
+        raise ShapeError(f"mirroring needs an even offset count, got a gradient {grad_off.shape}")
+    h = grad_off.shape[-1] // 2
+    return (grad_off[..., :h] - grad_off[..., h:]) * t
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,9 @@ class TrialsReport:
 
 def _trial_offsets(rng: Rng, cfg: InterlaceConfig) -> np.ndarray:
     """Mix of fractional, integer, and near-boundary offsets."""
-    g_learned = cfg.g // 2 if cfg.mirror else cfg.g
     half_t = cfg.t / 2
-    kinds = rng.integers(0, 3, g_learned)
-    vals = np.empty(g_learned)
+    kinds = rng.integers(0, 3, cfg.learned_groups)
+    vals = np.empty(cfg.learned_groups)
     for i, kind in enumerate(kinds):
         if kind == 0:
             vals[i] = rng.uniform([], -half_t + 1e-9, half_t)[()]

@@ -5,7 +5,10 @@ import pytest
 
 from tin.bench import (CONVENTION, bench_operators, count_flops, flops_summary,
                        make_op, resnet50_conv_madds, run_latency, tin_overhead)
+from tin.blocks import TinBlock
 from tin.errors import ConfigError
+from tin.interlace import InterlaceConfig
+from tin.tensors import Rng
 
 SHAPE = dict(t=8, c=256, h=14, w=14)
 
@@ -44,6 +47,13 @@ def test_module_counts_include_generator_nets():
     assert rep.madds > bare.madds
     assert rep.params > 0
     assert rep.convention == CONVENTION
+
+
+@pytest.mark.parametrize("t, c, want", [(8, 256, 3952), (4, 32, 524), (16, 64, 1304)])
+def test_module_params_are_those_of_a_block_without_mirroring(t, c, want):
+    block = TinBlock(InterlaceConfig(t=t, c=c, mirror=False), Rng(0))
+    n = sum(p.size for p in block.named_params().values())
+    assert count_flops("tin_module", t=t, c=c, h=14, w=14).params == n == want
 
 
 def test_counts_are_shape_deterministic():

@@ -6,7 +6,7 @@ import pytest
 
 from tin import blocks
 from tin.blocks import (Layer, Linear, PointwiseConv2d, PointwiseConv2dMaxPool,
-                        PointwiseConv2dReLU, ReLU, TemporalConv, TemporalMean, TinBlock, Chain,
+                        PointwiseConv2dReLU, ReLU, TemporalConv, TinBlock, Chain,
                         cross_entropy, make_toy_net)
 from tin.errors import ShapeError
 from tin.interlace import InterlaceConfig, interlace_forward
@@ -314,7 +314,7 @@ def test_backward_allocates_less_than_a_map_per_layer_that_must_make_one(tempora
 def test_block_and_max_pool_backward_into_out_match_the_fresh_path(batched):
     rng = Rng(57)
     block = fresh_block(rng_seed=58)
-    block.onet.fc2_b[:] = rng.child("o").uniform([4], -1.0, 1.0)
+    block.onet.fc2_b[:] = rng.child("o").uniform(block.onet.fc2_b.shape, -1.0, 1.0)
     u = rng.child("u").uniform([3, 8, 16, 4, 4] if batched else [8, 16, 4, 4], -1.0, 1.0)
     g = rng.child("g").uniform(list(u.shape), -1.0, 1.0)
     want_u, want = block.backward(g, block.forward(u)[1])
@@ -606,7 +606,8 @@ def test_cross_entropy_rejects_out_of_range_labels():
 
 
 def test_offset_gradient_nonzero_on_ordered_data():
-    # a direction-labeled batch must push on the offset parameters
+    # a direction-labeled batch must push on every offset parameter row:
+    # the offset net has no row that only a mirrored group would read
     from tin.synth import SynthTask, generate_task, standardize
 
     spec = SynthTask(task="direction2", train_clips=64, val_clips=16, seed=3)
@@ -615,6 +616,6 @@ def test_offset_gradient_nonzero_on_ordered_data():
     logits, tapes = net.forward(tr.clips[:32])
     loss, gl, _ = cross_entropy(logits, tr.labels[:32])
     _, grads = net.backward(gl, tapes)
-    assert np.any(grads["tin.onet.fc2.b"] != 0.0)
-    assert np.any(grads["tin.onet.fc2.w"] != 0.0)
+    assert np.all(grads["tin.onet.fc2.b"] != 0.0)
+    assert np.all(np.any(grads["tin.onet.fc2.w"] != 0.0, axis=1))
 

@@ -92,8 +92,11 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
     (lambda: cross_entropy(np.array([[1e308, -1e308]]), np.array([1])), NonFiniteError),
     (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), 0, False), ShapeError),
     (lambda: nets.rescale_offsets(np.array([0.5, 0.5]), -2, True), ShapeError),
+    (lambda: nets.rescale_offsets(np.float64(0.5), 8, True), ShapeError),
     (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, False), ShapeError),
     (lambda: nets.rescale_offsets_vjp(np.ones(2), 0, True), ShapeError),
+    (lambda: nets.rescale_offsets_vjp(np.ones(3), 8, True), ShapeError),
+    (lambda: nets.rescale_offsets_vjp(np.float64(1.0), 8, True), ShapeError),
     (lambda: OffsetNet(8, 16, 4, Rng(0)).forward(np.zeros((2, 16, 6))), ShapeError),
     (lambda: WeightNet(8, 16, 4, Rng(0)).forward(np.zeros((2, 16, 6))), ShapeError),
     (lambda: WeightNet(8, 16, 4, Rng(0), "channel_mean").forward(np.zeros((2, 15, 8))),
@@ -115,8 +118,9 @@ def _tconv_with(u_value=0.5, tap_value=0.0):
         "dense-tconv-inf-input", "dense-tconv-nan-tap", "dense-tconv-inf-tap",
         "cross-entropy-inf-logit", "cross-entropy-minus-inf-logit",
         "cross-entropy-logits-overflow-apart", "rescale-zero-frames",
-        "rescale-negative-frames-mirror", "rescale-vjp-zero-frames",
-        "rescale-vjp-zero-frames-mirror", "offsetnet-wrong-frames", "weightnet-wrong-frames",
+        "rescale-negative-frames-mirror", "rescale-scalar-mirror", "rescale-vjp-zero-frames",
+        "rescale-vjp-zero-frames-mirror", "rescale-vjp-odd-offsets-mirror",
+        "rescale-vjp-scalar-mirror", "offsetnet-wrong-frames", "weightnet-wrong-frames",
         "weightnet-channel-mean-wrong-channels"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_raises_the_documented_error(call, error):
@@ -138,4 +142,5 @@ def test_counts_at_their_floor_stay_valid():
     _tconv_with()
     assert np.isfinite(cross_entropy(np.array([[1e308, -7e307]]), np.array([1]))[0])
     nets.rescale_offsets(np.array([0.5, 0.5]), 1, True)
+    nets.rescale_offsets(np.array([0.5]), 1, True)
     nets.rescale_offsets_vjp(np.ones(2), 1, True)

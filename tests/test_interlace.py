@@ -163,8 +163,7 @@ def test_sample_vjp_transpose_identity():
 def _random_inputs(rng, cfg, batch=None):
     shape = [cfg.t, cfg.c, 3, 3] if batch is None else [batch, cfg.t, cfg.c, 3, 3]
     u = rng.child("u").uniform(shape, -1.0, 1.0)
-    g_learned = cfg.g // 2 if cfg.mirror else cfg.g
-    half = rng.child("o").uniform([g_learned], -cfg.t / 2 + 0.3, cfg.t / 2 - 0.3)
+    half = rng.child("o").uniform([cfg.learned_groups], -cfg.t / 2 + 0.3, cfg.t / 2 - 0.3)
     offsets = np.concatenate([half, -half]) if cfg.mirror else half
     weights = rng.child("w").uniform([cfg.g, cfg.t], 0.1, 1.9)
     if batch is not None:
@@ -209,7 +208,7 @@ def test_integer_offsets_with_unit_weights_are_a_zero_filled_shift(batch):
         gs = int(r.integers(1, 3))
         cfg = InterlaceConfig(t=t, c=2 * g * gs, g=g, shift_fraction=0.5, mirror=mirror)
         reach = (t - 1) // 2                       # |offset| < T/2
-        learned = r.integers(-reach, reach + 1, g // 2 if mirror else g).astype(np.float64)
+        learned = r.integers(-reach, reach + 1, cfg.learned_groups).astype(np.float64)
         offsets = np.concatenate([learned, -learned]) if mirror else learned
         weights = np.ones((g, t))
         lead = [] if batch is None else [batch]
@@ -390,7 +389,7 @@ def _random_case(r, batch=None, dtype=np.float64):
     cfg = InterlaceConfig(t=t, c=round(g * gs / frac), g=g, shift_fraction=frac, mirror=mirror,
                           weight_all_channels=bool(r.integers(0, 2)))
     lead = [] if batch is None else [batch]
-    learned = lead + [g // 2 if mirror else g]
+    learned = lead + [cfg.learned_groups]
     if r.integers(0, 3) == 0 or t == 1:
         reach = (t - 1) // 2
         half = r.integers(-reach, reach + 1, learned).astype(np.float64)

@@ -132,16 +132,18 @@ def test_rescale_range_property():
         assert np.all(off > -t / 2) and np.all(off < t / 2)
 
 
-def test_rescale_mirror_consumes_half():
-    raw = np.array([0.75, 0.625, 0.1, 0.9])  # second half ignored
-    off = rescale_offsets(raw, 8, True)
-    assert np.array_equal(off[:2], [2.0, 1.0])
-    assert np.array_equal(off[2:], [-2.0, -1.0])
+def test_rescale_mirror_appends_the_negation():
+    raw = np.array([0.75, 0.625])  # one raw value per learned group
+    assert np.array_equal(rescale_offsets(raw, 8, True), [2.0, 1.0, -2.0, -1.0])
+    assert np.array_equal(rescale_offsets(np.array([0.75]), 8, True), [2.0, -2.0])
+    assert rescale_offsets(np.full((5, 3), 0.25), 8, True).shape == (5, 6)
 
 
 def test_rescale_mirror_exact_antisymmetry():
-    raw = Rng(11).uniform([6], 0.01, 0.99)
+    raw = Rng(11).uniform([3], 0.01, 0.99)
     off = rescale_offsets(raw, 16, True)
+    assert off.shape == (6,)
+    assert np.array_equal(off[:3], rescale_offsets(raw, 16, False))
     assert np.array_equal(off[3:], -off[:3])
 
 
@@ -162,8 +164,9 @@ def test_rescale_rejects_non_finite_raw_offsets():
 def test_rescale_vjp_plain_and_mirror():
     g = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(rescale_offsets_vjp(g, 8, False), g * 8)
-    gm = rescale_offsets_vjp(g, 8, True)
-    assert np.array_equal(gm, [(1.0 - 3.0) * 8, (2.0 - 4.0) * 8, 0.0, 0.0])
+    gm = rescale_offsets_vjp(g, 8, True)    # one raw gradient per learned group
+    assert np.array_equal(gm, [(1.0 - 3.0) * 8, (2.0 - 4.0) * 8])
+    assert rescale_offsets_vjp(np.ones((5, 6)), 8, True).shape == (5, 3)
 
 
 # ---------------------------------------------------------------------------
