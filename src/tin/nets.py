@@ -2,12 +2,12 @@
 
 Global spatial pooling squeezes a feature map into a descriptor z, [C, T]
 or [N, C, T]. The offset net (blocks.OffsetNet) maps a batch of
-descriptors to raw values in (0, 1), one per learned group (G/2 with
-mirroring), which rescale_offsets turns into all G fractional offsets in
-(-T/2, T/2), appending their negation with mirroring; the weight net
-(blocks.WeightNet) maps it to per-group per-frame weights in (0, 2). Both
-are layer chains whose last layer starts at zero, so a fresh block emits
-offsets of exactly 0 and weights of exactly 1: the identity. Each net
+descriptors to raw values in (0, 1), one per learned group, which
+rescale_offsets turns into all G fractional offsets in (-T/2, T/2): with
+mirroring the net has G/2 outputs and rescale appends their negation. The
+weight net (blocks.WeightNet) maps it to per-group per-frame weights in
+(0, 2). Both are layer chains whose last layer starts at zero, so a fresh
+block emits offsets of exactly 0 and weights of exactly 1: the identity. Each net
 checks its own descriptor's shape; offsetnet_forward and weightnet_forward
 only call net.forward, and stay as named points a profiler can time.
 """
